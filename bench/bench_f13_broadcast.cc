@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   for (const topo::BcubeParams& params :
        {topo::BcubeParams{4, 2}, topo::BcubeParams{4, 3}}) {
     const topo::Bcube net{params};
-    const routing::SpanningTree tree = routing::BcubeBroadcastTree(net, 0);
+    const routing::SpanningTree tree = routing::AbcccBroadcastTree(net, 0);
     const std::size_t tree_links = routing::TreeLinkCount(net.Network(), tree);
     const std::size_t unicast = unicast_total(net, 0);
     table.AddRow({net.Describe(), Table::Cell(net.ServerCount()),

@@ -9,8 +9,9 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "graph/bfs.h"
+#include "topology/abccc.h"
 #include "topology/cost_model.h"
-#include "topology/gabccc.h"
+#include "topology/expansion.h"
 
 int main(int argc, char** argv) {
   using namespace dcn;
@@ -22,18 +23,18 @@ int main(int argc, char** argv) {
                 "embeds-previous"}};
   {
     const topo::GeneralAbcccParams base{{4, 4}, 2};  // = ABCCC(4,1,2), 32 servers
-    const topo::GeneralAbccc base_net{base};
+    const topo::Abccc base_net{base};
     ladder.AddRow({base_net.Describe(), Table::Cell(base_net.ServerCount()),
                    Table::Cell(bench::ServerEccentricity(base_net)), "-", "-"});
   }
   for (int r = 2; r <= 4; ++r) {
     const topo::GeneralAbcccParams params{{4, 4, r}, 2};
-    const topo::GeneralAbccc net{params};
+    const topo::Abccc net{params};
     std::string embeds = "-";
     std::string disruption = "0";
     if (r > 2) {
-      const topo::GeneralAbccc previous{topo::GeneralAbcccParams{{4, 4, r - 1}, 2}};
-      embeds = topo::VerifySliceExpansion(previous, net) ? "yes" : "NO";
+      const topo::Abccc previous{topo::GeneralAbcccParams{{4, 4, r - 1}, 2}};
+      embeds = topo::VerifyAbcccExpansion(previous, net) ? "yes" : "NO";
       disruption =
           Table::Cell(topo::PlanSliceExpansion(previous.Params(), 2).DisruptionTotal());
     }
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   const topo::CostModel model;
   bool first = true;
   for (int r = 2; r <= 4; ++r) {
-    const topo::GeneralAbccc net{topo::GeneralAbcccParams{{4, 4, r}, 2}};
+    const topo::Abccc net{topo::GeneralAbcccParams{{4, 4, r}, 2}};
     const topo::CapexReport cost = topo::EvaluateCost(net, model);
     const double step = first ? cost.total_usd : cost.total_usd - previous_total;
     cumulative += step;

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   }
   {
     const topo::Bcube net{4, 2};
-    run(net, routing::BcubeBroadcastTree(net, 0));
+    run(net, routing::AbcccBroadcastTree(net, 0));
   }
 
   table.Print(std::cout, "F21: streaming broadcast");

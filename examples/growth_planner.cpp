@@ -13,9 +13,9 @@
 #include "common/cli.h"
 #include "common/parallel.h"
 #include "common/table.h"
+#include "topology/abccc.h"
 #include "topology/cost_model.h"
 #include "topology/expansion.h"
-#include "topology/gabccc.h"
 
 int main(int argc, char** argv) {
   using namespace dcn;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   int steps = 0;
   while (true) {
     const topo::GeneralAbcccParams params{radices, c};
-    const topo::GeneralAbccc net{params};
+    const topo::Abccc net{params};
     const topo::CapexReport cost = topo::EvaluateCost(net, model);
     const double step_usd = first ? cost.total_usd : cost.total_usd - previous_total;
     cumulative += step_usd;

@@ -2,7 +2,9 @@
 # Pre-submit gate: build Release and ThreadSanitizer configurations and run
 # the full test suite under both. TSan exercises the DCN_THREADS pool with an
 # oversubscribed thread count so scheduling interleavings vary; the
-# determinism suites then prove results are still bit-identical.
+# determinism suites then prove results are still bit-identical. The Release
+# build also re-runs every deterministic bench against results/
+# (scripts/check_tables.sh).
 #
 # With --bench, additionally re-runs the fixed micro-kernel set (bench_micro
 # --json) and compares ns/op against the committed BENCH_core.json reference.
@@ -28,6 +30,10 @@ echo "== Release build + tests =="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 ctest --preset release -j "$JOBS" ${CTEST_ARGS+"${CTEST_ARGS[@]}"}
+
+echo
+echo "== Table byte-identity gate =="
+scripts/check_tables.sh build
 
 echo
 echo "== Traced benchmarks + Chrome trace schema check =="

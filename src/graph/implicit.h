@@ -7,9 +7,10 @@
 // node/server counts, an O(1) per-node degree bound, and an allocation-free
 // `ForEachNeighbor(node, fn)` enumeration. CsrView models it (backed by its
 // packed arrays); topo::ImplicitCube models it (backed by digit algebra), and
-// both enumerate neighbors in the SAME order — the materialized builder's
-// insertion order — so every traversal result is bit-identical across the two
-// representations (pinned by tests/test_implicit.cc).
+// both enumerate neighbors in the SAME order — edge-id order, since a
+// materialized cube is the algebra's edge list — so every traversal result is
+// bit-identical across the two representations (pinned by
+// tests/test_implicit.cc).
 //
 // Determinism contract: a model's ForEachNeighbor must be a pure function of
 // (instance, node) with a fixed enumeration order. Kernels add no ordering of

@@ -6,16 +6,11 @@
 
 namespace dcn::metrics {
 
-namespace {
-
-// Shared implementation: `classify(switch_node)` returns the class index
-// (0 = crossbar when present, then levels in order).
-template <typename Net, typename ClassifyFn>
-std::vector<LinkClassUsage> ClassifyImpl(const Net& net,
-                                         const std::vector<routing::Route>& routes,
-                                         bool has_crossbars, int levels,
-                                         ClassifyFn&& classify) {
+std::vector<LinkClassUsage> ClassifyLinkUsage(
+    const topo::Abccc& net, const std::vector<routing::Route>& routes) {
   const graph::Graph& g = net.Network();
+  const bool has_crossbars = net.Params().HasCrossbars();
+  const int levels = net.Params().DigitCount();
   const int classes = (has_crossbars ? 1 : 0) + levels;
 
   // Per-edge class, resolved once.
@@ -30,7 +25,10 @@ std::vector<LinkClassUsage> ClassifyImpl(const Net& net,
     const auto [u, v] = g.Endpoints(edge);
     const graph::NodeId sw = g.IsSwitch(u) ? u : v;
     DCN_ASSERT(g.IsSwitch(sw));
-    edge_class[edge] = classify(sw);
+    // Class 0 is the crossbars when present, then levels in order.
+    edge_class[edge] = net.IsCrossbar(sw)
+                           ? 0
+                           : (has_crossbars ? 1 : 0) + net.LevelOfSwitch(sw);
     ++usage[edge_class[edge]].links;
   }
 
@@ -61,28 +59,6 @@ std::vector<LinkClassUsage> ClassifyImpl(const Net& net,
                   (2.0 * static_cast<double>(usage[cls].links));
   }
   return usage;
-}
-
-}  // namespace
-
-std::vector<LinkClassUsage> ClassifyLinkUsage(
-    const topo::Abccc& net, const std::vector<routing::Route>& routes) {
-  const bool xbars = net.Params().HasCrossbars();
-  return ClassifyImpl(net, routes, xbars, net.Params().k + 1,
-                      [&](graph::NodeId sw) {
-                        if (xbars && net.IsCrossbar(sw)) return 0;
-                        return (xbars ? 1 : 0) + net.LevelOfSwitch(sw);
-                      });
-}
-
-std::vector<LinkClassUsage> ClassifyLinkUsage(
-    const topo::GeneralAbccc& net, const std::vector<routing::Route>& routes) {
-  const bool xbars = net.Params().HasCrossbars();
-  return ClassifyImpl(net, routes, xbars, net.Params().DigitCount(),
-                      [&](graph::NodeId sw) {
-                        if (xbars && net.IsCrossbar(sw)) return 0;
-                        return (xbars ? 1 : 0) + net.LevelOfSwitch(sw);
-                      });
 }
 
 }  // namespace dcn::metrics

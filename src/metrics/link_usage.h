@@ -3,7 +3,7 @@
 // ABCCC links come in classes — row crossbar links and one class per level
 // plane. Classifying a routed workload's link loads by class shows which
 // plane saturates first (the effective bottleneck the c knob moves), a view
-// aggregate throughput numbers hide. Works for Abccc and GeneralAbccc.
+// aggregate throughput numbers hide. Works for every cube family.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "common/stats.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
-#include "topology/gabccc.h"
 
 namespace dcn::metrics {
 
@@ -29,7 +28,5 @@ struct LinkClassUsage {
 // order. Routes must be valid for the network.
 std::vector<LinkClassUsage> ClassifyLinkUsage(
     const topo::Abccc& net, const std::vector<routing::Route>& routes);
-std::vector<LinkClassUsage> ClassifyLinkUsage(
-    const topo::GeneralAbccc& net, const std::vector<routing::Route>& routes);
 
 }  // namespace dcn::metrics

@@ -83,10 +83,9 @@ Table ReportTable(const Snapshot& snapshot) {
   for (const TimerRow& row : snapshot.timers) {
     if (row.count == 0) continue;
     const double total_ms = static_cast<double>(row.total_ns) * 1e-6;
-    const double mean_us = static_cast<double>(row.total_ns) * 1e-3 /
-                           static_cast<double>(row.count);
     table.AddRow({row.name, "timer-ms", Table::Cell(row.count),
-                  Table::Cell(total_ms, 3), Table::Cell(mean_us, 3), ""});
+                  Table::Cell(total_ms, 3),
+                  Table::Cell(total_ms / static_cast<double>(row.count), 3), ""});
   }
   // Sketch-layer metrics (obs/sketch.h, obs/rollup.h) render alongside: the
   // p99 as the headline value, bounded-error mean, exact max.

@@ -30,7 +30,7 @@ class BcubeWalker {
  public:
   BcubeWalker(const topo::Bcube& net, const graph::FailureSet& failures,
               graph::NodeId src)
-      : net_(net), failures_(failures), digits_(net.AddressOf(src)), cur_(src) {
+      : net_(net), failures_(failures), digits_(net.AddressOf(src).digits), cur_(src) {
     hops_.push_back(src);
     visited_.insert(src);
   }
@@ -41,10 +41,10 @@ class BcubeWalker {
   std::size_t Links() const { return hops_.size() - 1; }
 
   bool TryFix(int level, int value) {
-    const graph::NodeId sw = net_.SwitchAt(level, digits_);
+    const graph::NodeId sw = net_.LevelSwitchAt(level, digits_);
     topo::Digits next_digits = digits_;
     next_digits[level] = value;
-    const graph::NodeId next = net_.ServerAt(next_digits);
+    const graph::NodeId next = net_.ServerAt(next_digits, 0);
     if (visited_.count(next) > 0) return false;
     const graph::EdgeId in = UsableHop(cur_, sw);
     const graph::EdgeId out = UsableHop(sw, next);
@@ -90,17 +90,17 @@ Route BcubeFaultTolerantRoute(const topo::Bcube& net, graph::NodeId src,
   if (failures.NodeDead(src) || failures.NodeDead(dst)) return Route{};
   if (src == dst) return Route{{src}};
 
-  const topo::Digits to = net.AddressOf(dst);
-  const int n = net.Params().n;
+  const topo::Digits to = net.AddressOf(dst).digits;
+  const int k = net.Params().Order();
   const int budget = options.max_greedy_links > 0
                          ? options.max_greedy_links
-                         : 6 * (net.Params().k + 1) + 8;
+                         : 6 * (k + 1) + 8;
 
   BcubeWalker walker{net, failures, src};
   std::vector<int> remaining;
   {
-    const topo::Digits from = net.AddressOf(src);
-    for (int level = 0; level <= net.Params().k; ++level) {
+    const topo::Digits from = net.AddressOf(src).digits;
+    for (int level = 0; level <= k; ++level) {
       if (from[level] != to[level]) remaining.push_back(level);
     }
   }
@@ -128,12 +128,12 @@ Route BcubeFaultTolerantRoute(const topo::Bcube& net, graph::NodeId src,
     if (advanced) continue;
 
     if (options.allow_plane_detour) {
-      std::vector<int> levels(static_cast<std::size_t>(net.Params().k + 1));
-      for (int level = 0; level <= net.Params().k; ++level) levels[level] = level;
+      std::vector<int> levels(static_cast<std::size_t>(k + 1));
+      for (int level = 0; level <= k; ++level) levels[level] = level;
       rng.Shuffle(levels);
       for (int level : levels) {
         std::vector<int> values;
-        for (int v = 0; v < n; ++v) {
+        for (int v = 0; v < net.Params().LevelRadix(level); ++v) {
           if (v != walker.Digits()[level] && v != to[level]) values.push_back(v);
         }
         rng.Shuffle(values);

@@ -38,9 +38,7 @@ Route SpanningTree::PathTo(graph::NodeId server) const {
 namespace {
 
 // Distributes the payload from `owner` to every other member of its row.
-// Works for any ABCCC-family network exposing the shared row/crossbar API.
-template <typename Net>
-void CrossbarFanOut(const Net& net, graph::NodeId owner, SpanningTree& tree) {
+void CrossbarFanOut(const topo::Abccc& net, graph::NodeId owner, SpanningTree& tree) {
   if (!net.Params().HasCrossbars()) return;
   const std::uint64_t row = net.RowOf(owner);
   const graph::NodeId xbar = net.CrossbarAt(row);
@@ -53,8 +51,9 @@ void CrossbarFanOut(const Net& net, graph::NodeId owner, SpanningTree& tree) {
   }
 }
 
-template <typename Net>
-SpanningTree BroadcastTreeImpl(const Net& net, graph::NodeId root) {
+}  // namespace
+
+SpanningTree AbcccBroadcastTree(const topo::Abccc& net, graph::NodeId root) {
   const graph::Graph& g = net.Network();
   SpanningTree tree;
   tree.root = root;
@@ -99,17 +98,6 @@ SpanningTree BroadcastTreeImpl(const Net& net, graph::NodeId root) {
   return tree;
 }
 
-}  // namespace
-
-SpanningTree AbcccBroadcastTree(const topo::Abccc& net, graph::NodeId root) {
-  return BroadcastTreeImpl(net, root);
-}
-
-SpanningTree AbcccBroadcastTree(const topo::GeneralAbccc& net,
-                                graph::NodeId root) {
-  return BroadcastTreeImpl(net, root);
-}
-
 namespace {
 
 SpanningTree PruneToTargets(const SpanningTree& full, graph::NodeId root,
@@ -141,46 +129,6 @@ SpanningTree PruneToTargets(const SpanningTree& full, graph::NodeId root,
 SpanningTree AbcccMulticastTree(const topo::Abccc& net, graph::NodeId root,
                                 std::span<const graph::NodeId> targets) {
   return PruneToTargets(AbcccBroadcastTree(net, root), root, targets);
-}
-
-SpanningTree AbcccMulticastTree(const topo::GeneralAbccc& net, graph::NodeId root,
-                                std::span<const graph::NodeId> targets) {
-  return PruneToTargets(AbcccBroadcastTree(net, root), root, targets);
-}
-
-SpanningTree BcubeBroadcastTree(const topo::Bcube& net, graph::NodeId root) {
-  const graph::Graph& g = net.Network();
-  SpanningTree tree;
-  tree.root = root;
-  tree.parent.assign(g.ServerCount(), graph::kInvalidNode);
-  tree.via.assign(g.ServerCount(), graph::kInvalidNode);
-  tree.depth.assign(g.ServerCount(), -1);
-  tree.depth[root] = 0;
-
-  std::vector<graph::NodeId> covered{root};
-  covered.reserve(net.ServerCount());
-  for (int level = 0; level <= net.Params().k; ++level) {
-    const std::size_t frontier = covered.size();
-    for (std::size_t s = 0; s < frontier; ++s) {
-      const graph::NodeId sender = covered[s];
-      topo::Digits digits = net.AddressOf(sender);
-      const graph::NodeId sw = net.SwitchAt(level, digits);
-      const int own = digits[level];
-      for (int d = 0; d < net.Params().n; ++d) {
-        if (d == own) continue;
-        digits[level] = d;
-        const graph::NodeId receiver = net.ServerAt(digits);
-        DCN_ASSERT(tree.depth[receiver] < 0);
-        tree.parent[receiver] = sender;
-        tree.via[receiver] = sw;
-        tree.depth[receiver] = tree.depth[sender] + 2;
-        covered.push_back(receiver);
-      }
-      digits[level] = own;
-    }
-  }
-  DCN_ASSERT(tree.CoveredCount() == g.ServerCount());
-  return tree;
 }
 
 SpanningTree FallbackBroadcastTree(const graph::Graph& graph, graph::NodeId root,

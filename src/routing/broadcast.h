@@ -14,8 +14,6 @@
 
 #include "routing/route.h"
 #include "topology/abccc.h"
-#include "topology/bcube.h"
-#include "topology/gabccc.h"
 
 namespace dcn::routing {
 
@@ -39,16 +37,14 @@ struct SpanningTree {
   Route PathTo(graph::NodeId server) const;
 };
 
-// Spanning tree covering every server. The GeneralAbccc overload serves
-// mixed-radix (partially grown) deployments identically.
+// Spanning tree covering every server, for every cube family: on mixed
+// radices (partially grown deployments) too, and on BCube (m == 1, no
+// crossbars) it is the BCube broadcast of Guo et al. §5, depth 2(k+1).
 SpanningTree AbcccBroadcastTree(const topo::Abccc& net, graph::NodeId root);
-SpanningTree AbcccBroadcastTree(const topo::GeneralAbccc& net, graph::NodeId root);
 
 // The broadcast tree pruned to the given targets (plus the relay servers
 // needed to reach them).
 SpanningTree AbcccMulticastTree(const topo::Abccc& net, graph::NodeId root,
-                                std::span<const graph::NodeId> targets);
-SpanningTree AbcccMulticastTree(const topo::GeneralAbccc& net, graph::NodeId root,
                                 std::span<const graph::NodeId> targets);
 
 // Number of distinct links the tree uses (relay fan-out shares the uplink).
@@ -61,10 +57,5 @@ std::size_t TreeLinkCount(const graph::Graph& graph, const SpanningTree& tree);
 // operationally a broadcast after failures uses this.
 SpanningTree FallbackBroadcastTree(const graph::Graph& graph, graph::NodeId root,
                                    const graph::FailureSet* failures = nullptr);
-
-// BCube one-to-all baseline (digit doubling, Guo et al. §5): after stage l
-// the covered servers are exactly those matching the root above digit l.
-// Depth 2(k+1); used by the F13 comparison.
-SpanningTree BcubeBroadcastTree(const topo::Bcube& net, graph::NodeId root);
 
 }  // namespace dcn::routing

@@ -56,7 +56,7 @@ class GreedyWalker {
     graph::NodeId at = cur_;
     if (role_ != agent) {
       const graph::NodeId xbar =
-          net_.CrossbarAt(topo::DigitsToIndex(digits_, net_.Params().n));
+          net_.CrossbarAt(net_.RowIndex(digits_));
       const graph::NodeId agent_server = net_.ServerAt(digits_, agent);
       if (visited_.count(agent_server) > 0) return false;
       const graph::EdgeId up = UsableHop(at, xbar);
@@ -96,7 +96,7 @@ class GreedyWalker {
   bool TryRoleMove(int target_role) {
     if (role_ == target_role) return true;
     const graph::NodeId xbar =
-        net_.CrossbarAt(topo::DigitsToIndex(digits_, net_.Params().n));
+        net_.CrossbarAt(net_.RowIndex(digits_));
     const graph::NodeId target = net_.ServerAt(digits_, target_role);
     if (visited_.count(target) > 0) return false;
     const graph::EdgeId up = UsableHop(cur_, xbar);
@@ -149,16 +149,15 @@ Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
   if (src == dst) return Route{{src}};
 
   const topo::AbcccAddress to = net.AddressOf(dst);
-  const int n = net.Params().n;
   const int budget = options.max_greedy_links > 0
                          ? options.max_greedy_links
-                         : 8 * (net.Params().k + 1) + 16;
+                         : 8 * (net.Params().Order() + 1) + 16;
 
   GreedyWalker walker{net, failures, src};
   std::vector<int> remaining;
   {
     const topo::AbcccAddress from = net.AddressOf(src);
-    for (int level = 0; level <= net.Params().k; ++level) {
+    for (int level = 0; level <= net.Params().Order(); ++level) {
       if (from.digits[level] != to.digits[level]) remaining.push_back(level);
     }
   }
@@ -198,13 +197,13 @@ Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
       // destination — to reach a row served by different (hopefully live)
       // switches. A correct digit disturbed this way rejoins `remaining`.
       std::vector<int> detour_levels;
-      for (int level = 0; level <= net.Params().k; ++level) {
+      for (int level = 0; level <= net.Params().Order(); ++level) {
         detour_levels.push_back(level);
       }
       rng.Shuffle(detour_levels);
       for (int level : detour_levels) {
         std::vector<int> values;
-        for (int v = 0; v < n; ++v) {
+        for (int v = 0; v < net.Params().LevelRadix(level); ++v) {
           if (v != walker.Digits()[level] && v != to.digits[level]) {
             values.push_back(v);
           }

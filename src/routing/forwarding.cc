@@ -2,11 +2,8 @@
 
 namespace dcn::routing {
 
-namespace {
-
-template <typename Net>
-std::optional<ServerHop> AbcccNextHopImpl(const Net& net, graph::NodeId current,
-                                          graph::NodeId dst) {
+std::optional<ServerHop> AbcccNextHop(const topo::Abccc& net,
+                                      graph::NodeId current, graph::NodeId dst) {
   if (current == dst) return std::nullopt;
   const auto& params = net.Params();
   const topo::AbcccAddress at = net.AddressOf(current);
@@ -38,28 +35,16 @@ std::optional<ServerHop> AbcccNextHopImpl(const Net& net, graph::NodeId current,
                    net.ServerAtRow(net.RowOf(current), to.role)};
 }
 
-}  // namespace
-
-std::optional<ServerHop> AbcccNextHop(const topo::Abccc& net,
-                                      graph::NodeId current, graph::NodeId dst) {
-  return AbcccNextHopImpl(net, current, dst);
-}
-
-std::optional<ServerHop> AbcccNextHop(const topo::GeneralAbccc& net,
-                                      graph::NodeId current, graph::NodeId dst) {
-  return AbcccNextHopImpl(net, current, dst);
-}
-
 std::optional<ServerHop> BcubeNextHop(const topo::Bcube& net,
                                       graph::NodeId current, graph::NodeId dst) {
   if (current == dst) return std::nullopt;
-  const topo::Digits at = net.AddressOf(current);
-  const topo::Digits to = net.AddressOf(dst);
-  for (int level = net.Params().k; level >= 0; --level) {
+  const topo::Digits at = net.AddressOf(current).digits;
+  const topo::Digits to = net.AddressOf(dst).digits;
+  for (int level = net.Params().Order(); level >= 0; --level) {
     if (at[level] == to[level]) continue;
     topo::Digits next = at;
     next[level] = to[level];
-    return ServerHop{net.SwitchAt(level, at), net.ServerAt(next)};
+    return ServerHop{net.LevelSwitchAt(level, at), net.ServerAt(next, 0)};
   }
   DCN_ASSERT(false);  // current != dst implies a differing digit
   return std::nullopt;
@@ -78,14 +63,6 @@ std::optional<ServerHop> DcellNextHop(const topo::Dcell& net,
 }
 
 Route AbcccForwardRoute(const topo::Abccc& net, graph::NodeId src,
-                        graph::NodeId dst) {
-  return ForwardWalk(
-      src, dst,
-      [&](graph::NodeId at, graph::NodeId to) { return AbcccNextHop(net, at, to); },
-      net.RouteLengthBound());
-}
-
-Route AbcccForwardRoute(const topo::GeneralAbccc& net, graph::NodeId src,
                         graph::NodeId dst) {
   return ForwardWalk(
       src, dst,

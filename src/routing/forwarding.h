@@ -20,7 +20,6 @@
 #include "topology/abccc.h"
 #include "topology/bcube.h"
 #include "topology/dcell.h"
-#include "topology/gabccc.h"
 
 namespace dcn::routing {
 
@@ -38,11 +37,9 @@ struct ServerHop {
 //     of the lowest differing level;
 //   * digits equal but roles differ               -> crossbar to the
 //     destination's role.
-// Returns nullopt when current == dst. The GeneralAbccc overload applies the
-// same rule on mixed-radix deployments.
+// Returns nullopt when current == dst. Mixed-radix deployments apply the
+// same rule.
 std::optional<ServerHop> AbcccNextHop(const topo::Abccc& net,
-                                      graph::NodeId current, graph::NodeId dst);
-std::optional<ServerHop> AbcccNextHop(const topo::GeneralAbccc& net,
                                       graph::NodeId current, graph::NodeId dst);
 
 // BCube rule: correct the highest differing digit (matches BCubeRouting, so
@@ -81,8 +78,6 @@ Route ForwardWalk(graph::NodeId src, graph::NodeId dst, NextHopFn&& next_hop,
 
 // Convenience wrappers with the topology's own route-length bound as budget.
 Route AbcccForwardRoute(const topo::Abccc& net, graph::NodeId src,
-                        graph::NodeId dst);
-Route AbcccForwardRoute(const topo::GeneralAbccc& net, graph::NodeId src,
                         graph::NodeId dst);
 Route BcubeForwardRoute(const topo::Bcube& net, graph::NodeId src,
                         graph::NodeId dst);

@@ -7,11 +7,8 @@
 
 namespace dcn::routing {
 
-namespace {
-
-template <typename Net>
-std::vector<Route> RotatedRoutesImpl(const Net& net, graph::NodeId src,
-                                     graph::NodeId dst) {
+std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
+                                           graph::NodeId src, graph::NodeId dst) {
   const topo::AbcccAddress from = net.AddressOf(src);
   const topo::AbcccAddress to = net.AddressOf(dst);
   std::vector<int> differing;
@@ -32,18 +29,6 @@ std::vector<Route> RotatedRoutesImpl(const Net& net, graph::NodeId src,
     routes.push_back(Route{net.RouteWithLevelOrder(src, dst, order)});
   }
   return routes;
-}
-
-}  // namespace
-
-std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
-                                           graph::NodeId src, graph::NodeId dst) {
-  return RotatedRoutesImpl(net, src, dst);
-}
-
-std::vector<Route> RotatedLevelOrderRoutes(const topo::GeneralAbccc& net,
-                                           graph::NodeId src, graph::NodeId dst) {
-  return RotatedRoutesImpl(net, src, dst);
 }
 
 std::vector<Route> FilterLinkDisjoint(const graph::Graph& graph,

@@ -6,7 +6,6 @@
 
 #include "routing/route.h"
 #include "topology/abccc.h"
-#include "topology/gabccc.h"
 #include "topology/topology.h"
 
 namespace dcn::routing {
@@ -16,8 +15,6 @@ namespace dcn::routing {
 // first corrected plane — and therefore the initial level switch — differs
 // between candidates. Same-row pairs yield the single crossbar route.
 std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
-                                           graph::NodeId src, graph::NodeId dst);
-std::vector<Route> RotatedLevelOrderRoutes(const topo::GeneralAbccc& net,
                                            graph::NodeId src, graph::NodeId dst);
 
 // Greedy maximal link-disjoint subset of the given routes (first-come,

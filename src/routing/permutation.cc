@@ -39,7 +39,7 @@ std::vector<int> MakeLevelOrder(const topo::Abccc& net,
   switch (strategy) {
     case PermutationStrategy::kSequential: {
       std::vector<int> order;
-      for (int level = 0; level <= net.Params().k; ++level) {
+      for (int level = 0; level <= net.Params().Order(); ++level) {
         if (src.digits[level] != dst.digits[level]) order.push_back(level);
       }
       return order;
@@ -49,7 +49,7 @@ std::vector<int> MakeLevelOrder(const topo::Abccc& net,
     case PermutationStrategy::kRandom: {
       DCN_REQUIRE(rng != nullptr, "kRandom needs an Rng");
       std::vector<int> order;
-      for (int level = 0; level <= net.Params().k; ++level) {
+      for (int level = 0; level <= net.Params().Order(); ++level) {
         if (src.digits[level] != dst.digits[level]) order.push_back(level);
       }
       rng->Shuffle(order);
@@ -57,15 +57,13 @@ std::vector<int> MakeLevelOrder(const topo::Abccc& net,
     }
     case PermutationStrategy::kBalancedHash: {
       std::vector<int> differing;
-      for (int level = 0; level <= net.Params().k; ++level) {
+      for (int level = 0; level <= net.Params().Order(); ++level) {
         if (src.digits[level] != dst.digits[level]) differing.push_back(level);
       }
       if (differing.size() <= 1) return differing;
       const std::uint64_t key =
-          MixPair(topo::DigitsToIndex(src.digits, net.Params().n) * 2 +
-                      static_cast<std::uint64_t>(src.role),
-                  topo::DigitsToIndex(dst.digits, net.Params().n) * 2 +
-                      static_cast<std::uint64_t>(dst.role));
+          MixPair(net.RowIndex(src.digits) * 2 + static_cast<std::uint64_t>(src.role),
+                  net.RowIndex(dst.digits) * 2 + static_cast<std::uint64_t>(dst.role));
       const std::size_t rotation = key % differing.size();
       std::vector<int> order;
       order.reserve(differing.size());

@@ -1,323 +1,17 @@
 #include "topology/abccc.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "common/error.h"
 
 namespace dcn::topo {
 
-void AbcccParams::Validate() const {
-  DCN_REQUIRE(n >= 2, "ABCCC requires level-switch radix n >= 2");
-  DCN_REQUIRE(k >= 0, "ABCCC requires order k >= 0");
-  DCN_REQUIRE(c >= 2, "ABCCC requires servers with c >= 2 NIC ports");
-  // Evaluate the derived counts to trigger the overflow checks early: link
-  // ids must fit 64 bits too (a huge-but-server-valid shape whose link count
-  // wraps would corrupt every downstream total). Pure arithmetic — validating
-  // a petascale instance allocates nothing.
-  (void)ServerTotal();
-  (void)LinkTotal();
-}
-
-std::pair<int, int> AbcccParams::AgentLevels(int role) const {
-  DCN_REQUIRE(role >= 0 && role < RowLength(), "role out of range");
-  const int lo = role * (c - 1);
-  const int hi = std::min(lo + c - 2, k);
-  return {lo, hi};
-}
-
-int AbcccParams::PortsUsed(int role) const {
-  const auto [lo, hi] = AgentLevels(role);
-  return (HasCrossbars() ? 1 : 0) + (hi - lo + 1);
-}
-
-std::uint64_t AbcccParams::RowCount() const {
-  return CheckedPow(static_cast<std::uint64_t>(n), static_cast<unsigned>(k + 1));
-}
-
-std::uint64_t AbcccParams::ServerTotal() const {
-  const std::uint64_t rows = RowCount();
-  const auto m = static_cast<std::uint64_t>(RowLength());
-  DCN_REQUIRE(rows <= (std::uint64_t{1} << 62) / m, "server count overflows");
-  return rows * m;
-}
-
-std::uint64_t AbcccParams::CrossbarTotal() const {
-  return HasCrossbars() ? RowCount() : 0;
-}
-
-std::uint64_t AbcccParams::LevelSwitchTotal() const {
-  return CheckedMul(
-      static_cast<std::uint64_t>(k + 1),
-      CheckedPow(static_cast<std::uint64_t>(n), static_cast<unsigned>(k)));
-}
-
-std::uint64_t AbcccParams::LinkTotal() const {
-  // Every level switch has n links; every server has one crossbar link when
-  // crossbars exist.
-  return CheckedAdd(
-      CheckedMul(LevelSwitchTotal(), static_cast<std::uint64_t>(n)),
-      HasCrossbars() ? ServerTotal() : 0);
-}
-
-Abccc::Abccc(AbcccParams params) : params_(params) {
-  params_.Validate();
-  Build();
-}
-
-void Abccc::Build() {
-  const int m = params_.RowLength();
-  const std::uint64_t rows = params_.RowCount();
-  server_total_ = params_.ServerTotal();
-  level_stride_ = CheckedPow(static_cast<std::uint64_t>(params_.n),
-                             static_cast<unsigned>(params_.k));
-
+Abccc::Abccc(ImplicitCube cube) : cube_(std::move(cube)) {
   graph::Graph& g = MutableNetwork();
-
-  // Node id layout: all servers, then crossbars (if any), then level
-  // switches; each block is index-computable so no lookup tables are needed.
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    for (int j = 0; j < m; ++j) {
-      const graph::NodeId id = g.AddNode(graph::NodeKind::kServer);
-      DCN_ASSERT(static_cast<std::uint64_t>(id) == row * static_cast<std::uint64_t>(m) + static_cast<std::uint64_t>(j));
-    }
+  for (std::size_t node = 0; node < cube_.NodeCount(); ++node) {
+    g.AddNode(node < cube_.ServerCount() ? graph::NodeKind::kServer
+                                         : graph::NodeKind::kSwitch);
   }
-  crossbar_base_ = g.NodeCount();
-  if (params_.HasCrossbars()) {
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      g.AddNode(graph::NodeKind::kSwitch);
-    }
-  }
-  level_switch_base_ = g.NodeCount();
-  for (int level = 0; level <= params_.k; ++level) {
-    for (std::uint64_t b = 0; b < level_stride_; ++b) {
-      g.AddNode(graph::NodeKind::kSwitch);
-    }
-  }
-
-  // Row-local crossbar links.
-  if (params_.HasCrossbars()) {
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      for (int j = 0; j < m; ++j) {
-        g.AddEdge(ServerAtRow(row, j), CrossbarAt(row));
-      }
-    }
-  }
-
-  // Level-switch links: switch (level, b) connects the n agents whose digit
-  // vectors are b with value d spliced in at position `level` — the splice is
-  // pure address arithmetic (IndexInsertingDigit), no digit temporaries.
-  for (int level = 0; level <= params_.k; ++level) {
-    const int agent = params_.AgentRole(level);
-    for (std::uint64_t b = 0; b < level_stride_; ++b) {
-      const graph::NodeId sw =
-          static_cast<graph::NodeId>(level_switch_base_ +
-                                     static_cast<std::uint64_t>(level) * level_stride_ + b);
-      for (int d = 0; d < params_.n; ++d) {
-        g.AddEdge(
-            ServerAtRow(IndexInsertingDigit(b, params_.n, level, d), agent),
-            sw);
-      }
-    }
-  }
-
-  DCN_ASSERT(g.ServerCount() == params_.ServerTotal());
-  DCN_ASSERT(g.SwitchCount() ==
-             params_.CrossbarTotal() + params_.LevelSwitchTotal());
-  DCN_ASSERT(g.EdgeCount() == params_.LinkTotal());
-}
-
-graph::NodeId Abccc::ServerAt(std::span<const int> digits, int role) const {
-  DCN_REQUIRE(digits.size() == static_cast<std::size_t>(params_.k + 1),
-              "ABCCC address needs k+1 digits");
-  return ServerAtRow(DigitsToIndex(digits, params_.n), role);
-}
-
-graph::NodeId Abccc::ServerAtRow(std::uint64_t row, int role) const {
-  DCN_REQUIRE(row < params_.RowCount(), "row index out of range");
-  DCN_REQUIRE(role >= 0 && role < params_.RowLength(), "role out of range");
-  return static_cast<graph::NodeId>(row * static_cast<std::uint64_t>(params_.RowLength()) +
-                                    static_cast<std::uint64_t>(role));
-}
-
-AbcccAddress Abccc::AddressOf(graph::NodeId server) const {
-  CheckServer(server);
-  const auto m = static_cast<std::uint64_t>(params_.RowLength());
-  const auto id = static_cast<std::uint64_t>(server);
-  return AbcccAddress{IndexToDigits(id / m, params_.n, params_.k + 1),
-                      static_cast<int>(id % m)};
-}
-
-std::uint64_t Abccc::RowOf(graph::NodeId server) const {
-  CheckServer(server);
-  return static_cast<std::uint64_t>(server) /
-         static_cast<std::uint64_t>(params_.RowLength());
-}
-
-graph::NodeId Abccc::CrossbarAt(std::uint64_t row) const {
-  DCN_REQUIRE(params_.HasCrossbars(), "this ABCCC instance has no crossbars");
-  DCN_REQUIRE(row < params_.RowCount(), "row index out of range");
-  return static_cast<graph::NodeId>(crossbar_base_ + row);
-}
-
-graph::NodeId Abccc::LevelSwitchAt(int level, std::span<const int> digits) const {
-  DCN_REQUIRE(level >= 0 && level <= params_.k, "level out of range");
-  DCN_REQUIRE(digits.size() == static_cast<std::size_t>(params_.k + 1),
-              "ABCCC address needs k+1 digits");
-  const std::uint64_t b = DigitsToIndexSkipping(digits, params_.n, level);
-  return static_cast<graph::NodeId>(level_switch_base_ +
-                                    static_cast<std::uint64_t>(level) * level_stride_ + b);
-}
-
-bool Abccc::IsCrossbar(graph::NodeId node) const {
-  const auto id = static_cast<std::uint64_t>(node);
-  return id >= crossbar_base_ && id < level_switch_base_;
-}
-
-int Abccc::LevelOfSwitch(graph::NodeId node) const {
-  const auto id = static_cast<std::uint64_t>(node);
-  DCN_REQUIRE(id >= level_switch_base_ && id < Network().NodeCount(),
-              "node is not a level switch");
-  return static_cast<int>((id - level_switch_base_) / level_stride_);
-}
-
-std::vector<graph::NodeId> Abccc::RouteWithLevelOrder(
-    graph::NodeId src, graph::NodeId dst, std::span<const int> level_order) const {
-  CheckServer(src);
-  CheckServer(dst);
-  const AbcccAddress from = AddressOf(src);
-  const AbcccAddress to = AddressOf(dst);
-
-  // The order must mention exactly the differing levels, once each.
-  std::vector<bool> mentioned(static_cast<std::size_t>(params_.k + 1), false);
-  for (int level : level_order) {
-    DCN_REQUIRE(level >= 0 && level <= params_.k, "level out of range in order");
-    DCN_REQUIRE(!mentioned[level], "duplicate level in order");
-    DCN_REQUIRE(from.digits[level] != to.digits[level],
-                "level order contains a non-differing level");
-    mentioned[level] = true;
-  }
-  DCN_REQUIRE(static_cast<int>(level_order.size()) ==
-                  HammingDistance(from.digits, to.digits),
-              "level order must cover every differing level");
-
-  std::vector<graph::NodeId> hops{src};
-  Digits digits = from.digits;
-  int role = from.role;
-
-  auto move_to_role = [&](int target_role) {
-    if (role == target_role) return;
-    const std::uint64_t row = DigitsToIndex(digits, params_.n);
-    hops.push_back(CrossbarAt(row));
-    hops.push_back(ServerAtRow(row, target_role));
-    role = target_role;
-  };
-
-  for (int level : level_order) {
-    move_to_role(params_.AgentRole(level));
-    hops.push_back(LevelSwitchAt(level, digits));
-    digits[level] = to.digits[level];
-    hops.push_back(ServerAt(digits, role));
-  }
-  move_to_role(to.role);
-
-  DCN_ASSERT(hops.back() == dst);
-  return hops;
-}
-
-std::vector<int> Abccc::DefaultLevelOrder(const AbcccAddress& src,
-                                          const AbcccAddress& dst) const {
-  // Bucket differing levels by agent role. Ascending level order already
-  // groups (agent = level / (c-1) is monotone), so we only reorder groups:
-  // the group owned by src's role goes first (saves the initial crossbar
-  // hop), dst's role group goes last (saves the final one).
-  std::vector<int> differing;
-  for (int level = 0; level <= params_.k; ++level) {
-    if (src.digits[level] != dst.digits[level]) differing.push_back(level);
-  }
-  std::vector<int> order;
-  order.reserve(differing.size());
-  auto role_of = [&](int level) { return params_.AgentRole(level); };
-  for (int level : differing) {
-    if (role_of(level) == src.role) order.push_back(level);
-  }
-  for (int level : differing) {
-    const int r = role_of(level);
-    if (r != src.role && (r != dst.role || dst.role == src.role)) {
-      order.push_back(level);
-    }
-  }
-  if (dst.role != src.role) {
-    for (int level : differing) {
-      if (role_of(level) == dst.role) order.push_back(level);
-    }
-  }
-  DCN_ASSERT(order.size() == differing.size());
-  return order;
-}
-
-std::string Abccc::Describe() const {
-  std::ostringstream out;
-  out << "ABCCC(n=" << params_.n << ",k=" << params_.k << ",c=" << params_.c << ")";
-  return out.str();
-}
-
-std::string Abccc::NodeLabel(graph::NodeId node) const {
-  DCN_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < Network().NodeCount(),
-              "node id out of range");
-  const auto id = static_cast<std::uint64_t>(node);
-  std::ostringstream out;
-  if (id < server_total_) {
-    const AbcccAddress addr = AddressOf(node);
-    out << "<" << DigitsToString(addr.digits, params_.n) << ";" << addr.role << ">";
-  } else if (id < level_switch_base_) {
-    const Digits digits = IndexToDigits(id - crossbar_base_, params_.n, params_.k + 1);
-    out << "X(" << DigitsToString(digits, params_.n) << ")";
-  } else {
-    const std::uint64_t rel = id - level_switch_base_;
-    const int level = static_cast<int>(rel / level_stride_);
-    const Digits rest = IndexToDigits(rel % level_stride_, params_.n, params_.k);
-    // Render with '*' at the level position.
-    std::ostringstream digits;
-    for (int i = params_.k; i >= 0; --i) {
-      if (i == level) {
-        digits << "*";
-      } else {
-        digits << rest[i > level ? i - 1 : i];
-      }
-      if (params_.n > 10 && i > 0) digits << ".";
-    }
-    out << "S" << level << "(" << digits.str() << ")";
-  }
-  return out.str();
-}
-
-std::vector<graph::NodeId> Abccc::Route(graph::NodeId src, graph::NodeId dst) const {
-  const std::vector<int> order = DefaultLevelOrder(AddressOf(src), AddressOf(dst));
-  return RouteWithLevelOrder(src, dst, order);
-}
-
-int Abccc::ServerPorts() const {
-  return params_.RowLength() >= 2 ? params_.PortsUsed(0) : params_.k + 1;
-}
-
-int Abccc::RouteLengthBound() const {
-  // Per differing level: <= 2 (crossbar reposition) + 2 (level switch), plus
-  // a final reposition. The default order saves the first/last reposition,
-  // but the bound covers any order.
-  return 4 * (params_.k + 1) + 2;
-}
-
-double Abccc::TheoreticalBisection() const {
-  // Cut on the most significant digit: each of the n^k level-k switches has
-  // floor(n/2) links toward the smaller side.
-  return static_cast<double>(level_stride_) *
-         static_cast<double>(params_.n / 2);
-}
-
-void Abccc::CheckServer(graph::NodeId node) const {
-  DCN_REQUIRE(node >= 0 && static_cast<std::uint64_t>(node) < server_total_,
-              "node is not a server of this ABCCC network");
+  cube_.ForEachEdge([&](graph::NodeId server, graph::NodeId sw) { g.AddEdge(server, sw); });
+  DCN_ASSERT(g.EdgeCount() == cube_.LinkCount());
 }
 
 }  // namespace dcn::topo

@@ -1,16 +1,13 @@
 // ABCCC(n, k, c) — Advanced BCube Connected Crossbars (Li & Yang, ICDCS'15;
-// journal name GBC3). See DESIGN.md §1 for the reconstruction notes.
+// journal name GBC3). See DESIGN.md §1 for the reconstruction notes and
+// topology/implicit.h for the construction.
 //
-// Construction summary:
-//   * Addresses: server ⟨a_k..a_0; j⟩ with digits a_i ∈ [0,n) and role
-//     j ∈ [0,m), m = ceil((k+1)/(c-1)). The m servers sharing a digit vector
-//     form a *row* attached to one local crossbar switch (radix m, present
-//     when m >= 2).
-//   * Server ⟨a; j⟩ is the row's *agent* for levels [j(c-1), j(c-1)+c-2]∩[0,k]
-//     and has one link to each of those levels' switches.
-//   * The level-l switch identified by the k remaining digits connects the n
-//     agent servers whose addresses differ only in digit l (radix n).
-// c = 2 is BCCC(n, k); c >= k+2 degenerates to BCube(n, k).
+// Abccc is the one materialized cube: a Topology whose Graph is the digit
+// algebra's edge list (ImplicitCube::ForEachEdge, in its pinned order) and
+// whose address and route methods delegate to the algebra. The published
+// special cases are constructor-only subclasses that fix the family: Bccc
+// (bccc.h, c = 2) and Bcube (bcube.h, m = 1). Mixed radices (GeneralABCCC)
+// come from the GeneralAbcccParams constructor.
 #pragma once
 
 #include <cstdint>
@@ -19,105 +16,76 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.h"
-#include "topology/address.h"
+#include "topology/implicit.h"
 #include "topology/topology.h"
 
 namespace dcn::topo {
 
-struct AbcccParams {
-  int n = 4;  // level-switch radix / digit base
-  int k = 1;  // order: k+1 digits
-  int c = 2;  // NIC ports per server
-
-  // Throws InvalidArgument unless n >= 2, k >= 0, c >= 2 and the network fits
-  // in 64-bit ids.
-  void Validate() const;
-
-  int DigitCount() const { return k + 1; }
-  // Radix of the given level's digit/switches (uniform: always n). Mirrors
-  // GeneralAbcccParams::LevelRadix so generic routing code works on both.
-  int LevelRadix(int level) const {
-    DCN_REQUIRE(level >= 0 && level <= k, "level out of range");
-    return n;
-  }
-  // Row length m = ceil((k+1) / (c-1)).
-  int RowLength() const { return (k + c - 1) / (c - 1); }
-  bool HasCrossbars() const { return RowLength() >= 2; }
-  // Which row member is the agent for a given level.
-  int AgentRole(int level) const { return level / (c - 1); }
-  // Inclusive level span [lo, hi] a role is agent for.
-  std::pair<int, int> AgentLevels(int role) const;
-  // NIC ports a server of the given role actually uses.
-  int PortsUsed(int role) const;
-
-  std::uint64_t RowCount() const;          // n^(k+1)
-  std::uint64_t ServerTotal() const;       // m * n^(k+1)
-  std::uint64_t CrossbarTotal() const;     // n^(k+1) if m >= 2 else 0
-  std::uint64_t LevelSwitchTotal() const;  // (k+1) * n^k
-  std::uint64_t LinkTotal() const;
-};
-
-struct AbcccAddress {
-  Digits digits;  // size k+1, little-endian (digits[l] = a_l)
-  int role = 0;   // j in [0, m)
-};
-
 class Abccc : public Topology {
  public:
-  explicit Abccc(AbcccParams params);
+  explicit Abccc(AbcccParams params)
+      : Abccc(ImplicitCube{params.General(), CubeFamily::kAbccc}) {}
+  // GeneralABCCC: per-level radices. With uniform radices it is the same
+  // graph as Abccc(AbcccParams), under the GeneralABCCC name.
+  explicit Abccc(GeneralAbcccParams params)
+      : Abccc(ImplicitCube{std::move(params), CubeFamily::kGeneralAbccc}) {}
 
-  const AbcccParams& Params() const { return params_; }
+  const GeneralAbcccParams& Params() const { return cube_.Params(); }
 
-  // -- Address <-> node id mapping ------------------------------------------
-  graph::NodeId ServerAt(std::span<const int> digits, int role) const;
-  graph::NodeId ServerAtRow(std::uint64_t row, int role) const;
-  AbcccAddress AddressOf(graph::NodeId server) const;
-  std::uint64_t RowOf(graph::NodeId server) const;
-  // Requires HasCrossbars().
-  graph::NodeId CrossbarAt(std::uint64_t row) const;
-  // The level-`level` switch serving the row with these digits.
-  graph::NodeId LevelSwitchAt(int level, std::span<const int> digits) const;
-  // Switch classification (for link-usage breakdowns).
-  bool IsCrossbar(graph::NodeId node) const;
-  // The level a level switch belongs to; throws for servers/crossbars.
-  int LevelOfSwitch(graph::NodeId node) const;
+  // -- Address <-> node id mapping (see ImplicitCube) -------------------------
+  std::uint64_t RowIndex(std::span<const int> digits) const {
+    return cube_.RowIndex(digits);
+  }
+  graph::NodeId ServerAt(std::span<const int> digits, int role) const {
+    return cube_.ServerAt(digits, role);
+  }
+  graph::NodeId ServerAtRow(std::uint64_t row, int role) const {
+    return cube_.ServerAtRow(row, role);
+  }
+  AbcccAddress AddressOf(graph::NodeId server) const {
+    return cube_.AddressOf(server);
+  }
+  std::uint64_t RowOf(graph::NodeId server) const { return cube_.RowOf(server); }
+  graph::NodeId CrossbarAt(std::uint64_t row) const { return cube_.CrossbarAt(row); }
+  graph::NodeId LevelSwitchAt(int level, std::span<const int> digits) const {
+    return cube_.LevelSwitchAt(level, digits);
+  }
+  bool IsCrossbar(graph::NodeId node) const { return cube_.IsCrossbar(node); }
+  int LevelOfSwitch(graph::NodeId node) const { return cube_.LevelOfSwitch(node); }
 
-  // -- Routing ---------------------------------------------------------------
-  // Core digit-fixing walk. `level_order` must be a permutation of exactly
-  // the levels where src and dst digits differ; the route fixes them in that
-  // order, hopping through the local crossbar whenever the next level's agent
-  // is a different row member. Worst case 4*|order| + 2 links.
+  // -- Routing (see ImplicitCube) ---------------------------------------------
   std::vector<graph::NodeId> RouteWithLevelOrder(
       graph::NodeId src, graph::NodeId dst,
-      std::span<const int> level_order) const;
-
-  // The default level order: differing levels grouped by agent role, with the
-  // source's agent group first and the destination's last, which provably
-  // minimizes crossbar detours for this walk (see routing/permutation.h for
-  // the alternatives this is benchmarked against).
+      std::span<const int> level_order) const {
+    return cube_.RouteWithLevelOrder(src, dst, level_order);
+  }
   std::vector<int> DefaultLevelOrder(const AbcccAddress& src,
-                                     const AbcccAddress& dst) const;
+                                     const AbcccAddress& dst) const {
+    return cube_.DefaultLevelOrder(src, dst);
+  }
 
   // -- Topology interface ------------------------------------------------
-  std::string Name() const override { return "ABCCC"; }
-  std::string Describe() const override;
-  std::string NodeLabel(graph::NodeId node) const override;
+  std::string Name() const override { return cube_.Name(); }
+  std::string Describe() const override { return cube_.Describe(); }
+  std::string NodeLabel(graph::NodeId node) const override {
+    return cube_.NodeLabel(node);
+  }
   std::vector<graph::NodeId> Route(graph::NodeId src,
-                                   graph::NodeId dst) const override;
-  int ServerPorts() const override;
-  int RouteLengthBound() const override;
-  double TheoreticalBisection() const override;
+                                   graph::NodeId dst) const override {
+    return cube_.Route(src, dst);
+  }
+  int ServerPorts() const override { return cube_.ServerPorts(); }
+  int RouteLengthBound() const override { return cube_.RouteLengthBound(); }
+  double TheoreticalBisection() const override {
+    return cube_.TheoreticalBisection();
+  }
+
+ protected:
+  // Materializes the cube's edge list.
+  explicit Abccc(ImplicitCube cube);
 
  private:
-  void Build();
-  void CheckServer(graph::NodeId node) const;
-
-  AbcccParams params_;
-  std::uint64_t server_total_ = 0;
-  std::uint64_t crossbar_base_ = 0;      // first crossbar node id
-  std::uint64_t level_switch_base_ = 0;  // first level-switch node id
-  std::uint64_t level_stride_ = 0;       // n^k switches per level
+  ImplicitCube cube_;
 };
 
 }  // namespace dcn::topo

@@ -7,97 +7,6 @@
 
 namespace dcn::topo {
 
-std::uint64_t DigitsToIndex(std::span<const int> digits, int base) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  std::uint64_t index = 0;
-  for (std::size_t i = digits.size(); i > 0; --i) {
-    const int digit = digits[i - 1];
-    DCN_REQUIRE(digit >= 0 && digit < base, "digit out of range for base");
-    index = index * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
-  }
-  return index;
-}
-
-Digits IndexToDigits(std::uint64_t index, int base, int count) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  DCN_REQUIRE(count >= 0, "digit count must be non-negative");
-  Digits digits(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    digits[i] = static_cast<int>(index % static_cast<std::uint64_t>(base));
-    index /= static_cast<std::uint64_t>(base);
-  }
-  DCN_REQUIRE(index == 0, "index does not fit in the requested digit count");
-  return digits;
-}
-
-void IndexToDigitsInto(std::uint64_t index, int base, std::span<int> out) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<int>(index % static_cast<std::uint64_t>(base));
-    index /= static_cast<std::uint64_t>(base);
-  }
-  DCN_REQUIRE(index == 0, "index does not fit in the requested digit count");
-}
-
-int DigitAt(std::uint64_t index, int base, int pos) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  DCN_REQUIRE(pos >= 0, "digit position must be non-negative");
-  for (int i = 0; i < pos; ++i) index /= static_cast<std::uint64_t>(base);
-  return static_cast<int>(index % static_cast<std::uint64_t>(base));
-}
-
-std::uint64_t IndexWithDigit(std::uint64_t index, int base, int pos,
-                             int digit) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  DCN_REQUIRE(pos >= 0, "digit position must be non-negative");
-  DCN_REQUIRE(digit >= 0 && digit < base, "digit out of range for base");
-  const std::uint64_t weight = CheckedPow(static_cast<std::uint64_t>(base),
-                                          static_cast<unsigned>(pos));
-  const std::uint64_t old =
-      index / weight % static_cast<std::uint64_t>(base);
-  return index - old * weight + static_cast<std::uint64_t>(digit) * weight;
-}
-
-std::uint64_t IndexSkippingDigit(std::uint64_t index, int base, int pos) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  DCN_REQUIRE(pos >= 0, "digit position must be non-negative");
-  const std::uint64_t weight = CheckedPow(static_cast<std::uint64_t>(base),
-                                          static_cast<unsigned>(pos));
-  // base^(pos+1) can exceed 64 bits while the call is still meaningful (the
-  // digits above `pos` are then all zero), so divide in two checked steps.
-  const std::uint64_t high = index / weight / static_cast<std::uint64_t>(base);
-  return high * weight + index % weight;
-}
-
-std::uint64_t IndexInsertingDigit(std::uint64_t rest, int base, int pos,
-                                  int digit) {
-  DCN_REQUIRE(base >= 2, "digit base must be >= 2");
-  DCN_REQUIRE(pos >= 0, "digit position must be non-negative");
-  DCN_REQUIRE(digit >= 0 && digit < base, "digit out of range for base");
-  const std::uint64_t weight = CheckedPow(static_cast<std::uint64_t>(base),
-                                          static_cast<unsigned>(pos));
-  const std::uint64_t high = rest / weight;
-  const std::uint64_t low = rest % weight;
-  return (high * static_cast<std::uint64_t>(base) +
-          static_cast<std::uint64_t>(digit)) *
-             weight +
-         low;
-}
-
-std::uint64_t DigitsToIndexSkipping(std::span<const int> digits, int base,
-                                    int skip) {
-  DCN_REQUIRE(skip >= 0 && static_cast<std::size_t>(skip) < digits.size(),
-              "skip position out of range");
-  std::uint64_t index = 0;
-  for (std::size_t i = digits.size(); i > 0; --i) {
-    if (static_cast<int>(i - 1) == skip) continue;
-    const int digit = digits[i - 1];
-    DCN_REQUIRE(digit >= 0 && digit < base, "digit out of range for base");
-    index = index * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
-  }
-  return index;
-}
-
 std::string DigitsToString(std::span<const int> digits, int base) {
   std::ostringstream out;
   const bool dotted = base > 10;

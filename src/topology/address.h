@@ -1,8 +1,9 @@
-// Mixed-radix digit addressing shared by the cube-based topologies.
+// Digit vectors shared by the cube-based topologies.
 //
 // A digit vector stores a_0 .. a_k little-endian: digits[l] is the level-l
 // digit, so level-l routing touches index l directly. String rendering is
-// big-endian ("a_k...a_0"), matching how the papers print addresses.
+// big-endian ("a_k...a_0"), matching how the papers print addresses. The
+// digit <-> index arithmetic lives in one place, topo::ImplicitCube.
 #pragma once
 
 #include <cstdint>
@@ -13,38 +14,6 @@
 namespace dcn::topo {
 
 using Digits = std::vector<int>;
-
-// digits interpreted in the given base; digits[i] has weight base^i.
-std::uint64_t DigitsToIndex(std::span<const int> digits, int base);
-
-// Inverse of DigitsToIndex for a fixed digit count.
-Digits IndexToDigits(std::uint64_t index, int base, int count);
-
-// Allocation-free twin of IndexToDigits: writes out.size() digits into `out`.
-// Builder hot loops and per-thread scratch reuse one buffer across calls.
-void IndexToDigitsInto(std::uint64_t index, int base, std::span<int> out);
-
-// The level-`pos` digit of `index`: (index / base^pos) % base.
-int DigitAt(std::uint64_t index, int base, int pos);
-
-// `index` with its level-`pos` digit replaced by `digit` — the in-place
-// single-digit update (increment/decrement one level digit without a digit
-// vector round-trip).
-std::uint64_t IndexWithDigit(std::uint64_t index, int base, int pos, int digit);
-
-// DigitsToIndexSkipping computed directly on the packed index, no temporary
-// digit vector: `index` with its level-`pos` digit removed.
-std::uint64_t IndexSkippingDigit(std::uint64_t index, int base, int pos);
-
-// Inverse of IndexSkippingDigit: splice `digit` in at level `pos` of the
-// skip-compressed `rest`. The result must fit 64 bits (callers validate
-// topology sizes up front).
-std::uint64_t IndexInsertingDigit(std::uint64_t rest, int base, int pos,
-                                  int digit);
-
-// Index of `digits` with position `skip` removed (used to identify the
-// level-`skip` switch shared by servers differing only in that digit).
-std::uint64_t DigitsToIndexSkipping(std::span<const int> digits, int base, int skip);
 
 // "a_k...a_0" with separating dots when base > 10, e.g. "3.0.1".
 std::string DigitsToString(std::span<const int> digits, int base);

@@ -1,8 +1,7 @@
 // BCCC(n, k) — BCube Connected Crossbars (Li & Yang), the dual-port-server
 // predecessor of ABCCC. Structurally BCCC(n,k) == ABCCC(n,k,2): rows of k+1
 // servers, each the agent of exactly one level. Kept as its own type so the
-// baseline appears under its published name in every comparison and so tests
-// can assert the specialization identity.
+// baseline appears under its published name in every comparison.
 #pragma once
 
 #include "topology/abccc.h"
@@ -12,20 +11,13 @@ namespace dcn::topo {
 struct BcccParams {
   int n = 4;
   int k = 1;
-
-  AbcccParams ToAbccc() const { return AbcccParams{n, k, 2}; }
 };
 
 class Bccc final : public Abccc {
  public:
-  explicit Bccc(BcccParams params) : Abccc(params.ToAbccc()) {}
+  explicit Bccc(BcccParams params)
+      : Abccc(ImplicitCube::MakeBccc(params.n, params.k)) {}
   Bccc(int n, int k) : Bccc(BcccParams{n, k}) {}
-
-  std::string Name() const override { return "BCCC"; }
-  std::string Describe() const override {
-    return "BCCC(n=" + std::to_string(Params().n) +
-           ",k=" + std::to_string(Params().k) + ")";
-  }
 };
 
 }  // namespace dcn::topo

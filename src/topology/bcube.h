@@ -1,16 +1,13 @@
 // BCube(n, k) — Guo et al., SIGCOMM 2009. The switch-assisted hypercube the
 // paper generalizes away from: n^(k+1) servers with k+1 NIC ports each,
-// (k+1)·n^k switches of radix n, one switch level per address digit.
-// BCubeRouting corrects one digit per level switch (2 links per correction).
+// (k+1)·n^k switches of radix n, one switch level per address digit. It is
+// ABCCC(n, k, k+2): one server per row, no crossbars. Native routing is
+// BCubeRouting — the highest differing digit first, 2 links per correction.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
 
-#include "topology/address.h"
-#include "topology/topology.h"
+#include "topology/abccc.h"
 
 namespace dcn::topo {
 
@@ -18,46 +15,18 @@ struct BcubeParams {
   int n = 4;  // switch radix / digit base
   int k = 1;  // order: k+1 digits and k+1 NIC ports per server
 
-  void Validate() const;
-  std::uint64_t ServerTotal() const;  // n^(k+1)
-  std::uint64_t SwitchTotal() const;  // (k+1) * n^k
-  std::uint64_t LinkTotal() const;    // (k+1) * n^(k+1)
+  AbcccParams ToAbccc() const { return AbcccParams{n, k, k + 2}; }
+  void Validate() const { ToAbccc().Validate(); }
+  std::uint64_t ServerTotal() const { return ToAbccc().ServerTotal(); }
+  std::uint64_t SwitchTotal() const { return ToAbccc().LevelSwitchTotal(); }
+  std::uint64_t LinkTotal() const { return ToAbccc().LinkTotal(); }
 };
 
-class Bcube final : public Topology {
+class Bcube final : public Abccc {
  public:
-  explicit Bcube(BcubeParams params);
+  explicit Bcube(BcubeParams params)
+      : Abccc(ImplicitCube::MakeBcube(params.n, params.k)) {}
   Bcube(int n, int k) : Bcube(BcubeParams{n, k}) {}
-
-  const BcubeParams& Params() const { return params_; }
-
-  graph::NodeId ServerAt(std::span<const int> digits) const;
-  Digits AddressOf(graph::NodeId server) const;
-  graph::NodeId SwitchAt(int level, std::span<const int> digits) const;
-
-  // Digit-fixing route correcting the given levels in order (must be exactly
-  // the differing levels).
-  std::vector<graph::NodeId> RouteWithLevelOrder(
-      graph::NodeId src, graph::NodeId dst,
-      std::span<const int> level_order) const;
-
-  std::string Name() const override { return "BCube"; }
-  std::string Describe() const override;
-  std::string NodeLabel(graph::NodeId node) const override;
-  std::vector<graph::NodeId> Route(graph::NodeId src,
-                                   graph::NodeId dst) const override;
-  int ServerPorts() const override { return params_.k + 1; }
-  int RouteLengthBound() const override { return 2 * (params_.k + 1); }
-  double TheoreticalBisection() const override;
-
- private:
-  void Build();
-  void CheckServer(graph::NodeId node) const;
-
-  BcubeParams params_;
-  std::uint64_t server_total_ = 0;
-  std::uint64_t switch_base_ = 0;
-  std::uint64_t level_stride_ = 0;  // n^k
 };
 
 }  // namespace dcn::topo

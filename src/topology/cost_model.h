@@ -66,8 +66,8 @@ CapexReport EvaluateCostFromCounts(std::uint64_t servers,
                                    const CostModel& model = {});
 
 // Prices an implicit cube from its closed-form port totals: identical to
-// pricing the materialized graph (the builders cable exactly the ports the
-// arithmetic counts), but works at sizes no graph could hold.
+// pricing the materialized graph (it cables exactly the ports the arithmetic
+// counts), but works at sizes no graph could hold.
 CapexReport EvaluateCost(const ImplicitCube& cube, const CostModel& model = {});
 
 std::string ToString(const CapexReport& report);

@@ -4,60 +4,60 @@
 
 namespace dcn::topo {
 
-ExpansionStep PlanAbcccExpansion(const AbcccParams& from) {
-  from.Validate();
-  AbcccParams to = from;
-  to.k = from.k + 1;
-  to.Validate();
+namespace {
 
+// Sizes of one cube growth step; disruption fields are left at zero.
+ExpansionStep CubeStep(const char* topology, const GeneralAbcccParams& from,
+                       const GeneralAbcccParams& to, CubeFamily family) {
   ExpansionStep step;
-  step.topology = "ABCCC";
-  step.from = "ABCCC(n=" + std::to_string(from.n) + ",k=" + std::to_string(from.k) +
-              ",c=" + std::to_string(from.c) + ")";
-  step.to = "ABCCC(n=" + std::to_string(to.n) + ",k=" + std::to_string(to.k) +
-            ",c=" + std::to_string(to.c) + ")";
+  step.topology = topology;
+  step.from = DescribeCube(from, family);
+  step.to = DescribeCube(to, family);
   step.servers_before = from.ServerTotal();
   step.servers_after = to.ServerTotal();
   step.switches_before = from.CrossbarTotal() + from.LevelSwitchTotal();
   step.switches_after = to.CrossbarTotal() + to.LevelSwitchTotal();
   step.links_before = from.LinkTotal();
   step.links_after = to.LinkTotal();
+  return step;
+}
 
+}  // namespace
+
+ExpansionStep PlanAbcccExpansion(const AbcccParams& from) {
+  const AbcccParams to{from.n, from.k + 1, from.c};
+  ExpansionStep step =
+      CubeStep("ABCCC", from.General(), to.General(), CubeFamily::kAbccc);
   // Existing hardware is never opened or replaced: new level links land in
   // spare NIC ports, new row members land in spare crossbar ports.
-  step.existing_servers_modified = 0;
-  step.existing_switches_replaced = 0;
-  step.existing_links_recabled = 0;
   if (to.RowLength() > from.RowLength()) {
     // Each pre-existing row gains one server, plugged into its crossbar.
-    step.crossbar_ports_consumed =
-        from.HasCrossbars() ? from.RowCount() : 0;
+    step.crossbar_ports_consumed = from.HasCrossbars() ? from.RowCount() : 0;
   }
   return step;
 }
 
-ExpansionStep PlanBcubeExpansion(const BcubeParams& from) {
+ExpansionStep PlanSliceExpansion(const GeneralAbcccParams& from, int level) {
   from.Validate();
-  BcubeParams to = from;
-  to.k = from.k + 1;
-  to.Validate();
+  DCN_REQUIRE(level >= 0 && level <= from.Order(),
+              "slice expansion level out of range");
+  GeneralAbcccParams to = from;
+  ++to.radices[level];
+  ExpansionStep step =
+      CubeStep("GeneralABCCC", from, to, CubeFamily::kGeneralAbccc);
+  // New rows bring their own crossbars and switches; existing level-`level`
+  // switches each accept one new cable into a spare port.
+  step.crossbar_ports_consumed = from.LevelSwitchCount(level);
+  return step;
+}
 
-  ExpansionStep step;
-  step.topology = "BCube";
-  step.from = "BCube(n=" + std::to_string(from.n) + ",k=" + std::to_string(from.k) + ")";
-  step.to = "BCube(n=" + std::to_string(to.n) + ",k=" + std::to_string(to.k) + ")";
-  step.servers_before = from.ServerTotal();
-  step.servers_after = to.ServerTotal();
-  step.switches_before = from.SwitchTotal();
-  step.switches_after = to.SwitchTotal();
-  step.links_before = from.LinkTotal();
-  step.links_after = to.LinkTotal();
-
+ExpansionStep PlanBcubeExpansion(const BcubeParams& from) {
+  const BcubeParams to{from.n, from.k + 1};
+  ExpansionStep step = CubeStep("BCube", from.ToAbccc().General(),
+                                to.ToAbccc().General(), CubeFamily::kBcube);
   // Every deployed server must be opened for an extra NIC (level k+1) and a
   // new cable pulled to a level-(k+1) switch: Θ(N) disruption.
   step.existing_servers_modified = from.ServerTotal();
-  step.existing_switches_replaced = 0;
-  step.existing_links_recabled = 0;
   return step;
 }
 
@@ -111,28 +111,29 @@ ExpansionStep PlanFatTreeExpansion(const FatTreeParams& from) {
 }
 
 bool VerifyAbcccExpansion(const Abccc& before, const Abccc& after) {
-  const AbcccParams& small = before.Params();
-  const AbcccParams& big = after.Params();
-  if (big.n != small.n || big.c != small.c || big.k != small.k + 1) return false;
-  if (big.RowLength() < small.RowLength()) return false;
+  const GeneralAbcccParams& small = before.Params();
+  const GeneralAbcccParams& big = after.Params();
+  if (big.c != small.c) return false;
+  const int added_levels = big.DigitCount() - small.DigitCount();
+  if (added_levels < 0 || added_levels > 1) return false;
+  for (int level = 0; level <= small.Order(); ++level) {
+    if (big.radices[level] < small.radices[level]) return false;
+  }
 
   const graph::Graph& net = after.Network();
   for (const graph::NodeId server : before.Servers()) {
     const AbcccAddress addr = before.AddressOf(server);
-
-    // Canonical embedding: append digit a_{k+1} = 0, keep the role.
     Digits padded = addr.digits;
-    padded.push_back(0);
+    padded.resize(big.radices.size(), 0);
     const graph::NodeId mapped = after.ServerAt(padded, addr.role);
 
-    if (small.HasCrossbars()) {
-      const graph::NodeId xbar = after.CrossbarAt(after.RowOf(mapped));
-      if (!net.Adjacent(mapped, xbar)) return false;
+    if (small.HasCrossbars() &&
+        !net.Adjacent(mapped, after.CrossbarAt(after.RowOf(mapped)))) {
+      return false;
     }
     const auto [lo, hi] = small.AgentLevels(addr.role);
     for (int level = lo; level <= hi; ++level) {
-      const graph::NodeId sw = after.LevelSwitchAt(level, padded);
-      if (!net.Adjacent(mapped, sw)) return false;
+      if (!net.Adjacent(mapped, after.LevelSwitchAt(level, padded))) return false;
     }
   }
   return true;

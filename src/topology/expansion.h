@@ -8,7 +8,8 @@
 // components are added and which *existing* components must be touched
 // (servers opened for a new NIC, switches replaced for more ports, cables
 // re-run). VerifyAbcccExpansion proves the structural claim on real graphs:
-// the old network embeds into the expanded one link-for-link.
+// the old network embeds into the expanded one link-for-link, for order
+// steps and mixed-radix slice steps alike.
 //
 // Crossbar sizing note: an ABCCC row grows by one server whenever
 // ceil((k+1)/(c-1)) increases, which consumes a spare crossbar port. Like
@@ -60,6 +61,11 @@ struct ExpansionStep {
 // ABCCC(n,k,c) -> ABCCC(n,k+1,c). Pure addition (see crossbar sizing note).
 ExpansionStep PlanAbcccExpansion(const AbcccParams& from);
 
+// Slice expansion: raise one level's radix by one (add a slice of rows plus
+// that level's extra switch ports — modeled like crossbars as spare ports on
+// switches purchased at target radix). Existing hardware is untouched.
+ExpansionStep PlanSliceExpansion(const GeneralAbcccParams& from, int level);
+
 // BCube(n,k) -> BCube(n,k+1). Every existing server needs one more NIC port
 // and a new cable: the "expansion cost BCube suffers from".
 ExpansionStep PlanBcubeExpansion(const BcubeParams& from);
@@ -72,9 +78,11 @@ ExpansionStep PlanDcellExpansion(const DcellParams& from);
 // switch and re-cabling the fabric: fat-trees do not grow incrementally.
 ExpansionStep PlanFatTreeExpansion(const FatTreeParams& from);
 
-// Builds both networks and checks that the canonical embedding of `before`
-// into `after` (pad the new digit with 0, keep roles) preserves every link.
-// Returns true iff the old deployment survives expansion untouched.
+// Checks that the canonical embedding of `before` into `after` (same address,
+// a new top digit padded with 0, same role) preserves every link. The shapes
+// must be one growth step apart: same c, at most one new level, and no
+// level's radix shrinking. Returns true iff the old deployment survives
+// expansion untouched.
 bool VerifyAbcccExpansion(const Abccc& before, const Abccc& after);
 
 }  // namespace dcn::topo

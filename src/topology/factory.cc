@@ -1,10 +1,10 @@
 #include "topology/factory.h"
 
+#include <charconv>
 #include <map>
 
 #include "common/error.h"
 #include "topology/abccc.h"
-#include "topology/gabccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
 #include "topology/dcell.h"
@@ -26,7 +26,9 @@ std::map<std::string, std::string> ParseKeyValues(const std::string& spec,
     const std::size_t eq = item.find('=');
     DCN_REQUIRE(eq != std::string::npos,
                 "topology spec '" + spec + "': expected key=value, got '" + item + "'");
-    values[item.substr(0, eq)] = item.substr(eq + 1);
+    const std::string key = item.substr(0, eq);
+    DCN_REQUIRE(values.emplace(key, item.substr(eq + 1)).second,
+                "topology spec '" + spec + "': duplicate key '" + key + "'");
     pos = end + 1;
   }
   return values;
@@ -42,15 +44,22 @@ std::string TakeRaw(std::map<std::string, std::string>& values,
   return value;
 }
 
+// The whole of `raw` as a decimal int: no sign other than '-', no spaces,
+// no trailing characters.
+int ParseInt(const std::string& raw, const std::string& spec,
+             const std::string& what) {
+  int value = 0;
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, value);
+  DCN_REQUIRE(!raw.empty() && ec == std::errc{} && ptr == end,
+              "topology spec '" + spec + "': " + what + ", got '" + raw + "'");
+  return value;
+}
+
 int Take(std::map<std::string, std::string>& values, const std::string& spec,
          const std::string& key) {
-  const std::string raw = TakeRaw(values, spec, key);
-  try {
-    return std::stoi(raw);
-  } catch (const std::exception&) {
-    throw InvalidArgument{"topology spec '" + spec + "': '" + key +
-                          "' needs an integer value"};
-  }
+  return ParseInt(TakeRaw(values, spec, key), spec,
+                  "'" + key + "' needs an integer value");
 }
 
 // Dotted list "4.4.2", big-endian (a_k first), returned little-endian.
@@ -62,12 +71,8 @@ std::vector<int> TakeRadices(std::map<std::string, std::string>& values,
   while (pos <= raw.size()) {
     std::size_t end = raw.find('.', pos);
     if (end == std::string::npos) end = raw.size();
-    try {
-      big_endian.push_back(std::stoi(raw.substr(pos, end - pos)));
-    } catch (const std::exception&) {
-      throw InvalidArgument{"topology spec '" + spec +
-                            "': radices must be dotted integers, got '" + raw + "'"};
-    }
+    big_endian.push_back(ParseInt(raw.substr(pos, end - pos), spec,
+                                  "'" + key + "' must be dotted integers"));
     pos = end + 1;
   }
   return {big_endian.rbegin(), big_endian.rend()};
@@ -103,7 +108,7 @@ std::unique_ptr<Topology> MakeTopology(const std::string& spec) {
     params.radices = TakeRadices(values, spec, "radices");
     params.c = Take(values, spec, "c");
     RequireEmpty(values, spec);
-    return std::make_unique<GeneralAbccc>(params);
+    return std::make_unique<Abccc>(params);
   }
   if (family == "bccc") {
     BcccParams params;

@@ -189,33 +189,24 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(AbcccTest, LargeCDegeneratesToBcubeShape) {
-  // c >= k+2 means one server per row and no crossbars: BCube's shape.
+  // c >= k+2 means one server per row and no crossbars: BCube's shape,
+  // n^(k+1) servers, (k+1)·n^k switches, (k+1)·n^(k+1) links, k+1 ports.
   const AbcccParams p{4, 2, 4};
   const Abccc net{p};
-  const BcubeParams bp{4, 2};
-  const Bcube bcube{bp};
   EXPECT_FALSE(p.HasCrossbars());
-  EXPECT_EQ(net.ServerCount(), bcube.ServerCount());
-  EXPECT_EQ(net.SwitchCount(), bcube.SwitchCount());
-  EXPECT_EQ(net.LinkCount(), bcube.LinkCount());
-  EXPECT_EQ(net.ServerPorts(), bcube.ServerPorts());
+  EXPECT_EQ(net.ServerCount(), 64u);
+  EXPECT_EQ(net.SwitchCount(), 48u);
+  EXPECT_EQ(net.LinkCount(), 192u);
+  EXPECT_EQ(net.ServerPorts(), 3);
 }
 
 TEST(AbcccTest, BcccIsAbcccWithTwoPorts) {
   const Bccc bccc{4, 2};
-  const Abccc abccc{AbcccParams{4, 2, 2}};
   EXPECT_EQ(bccc.Params().c, 2);
-  EXPECT_EQ(bccc.ServerCount(), abccc.ServerCount());
-  EXPECT_EQ(bccc.LinkCount(), abccc.LinkCount());
+  EXPECT_EQ(bccc.ServerCount(), (AbcccParams{4, 2, 2}.ServerTotal()));
+  EXPECT_EQ(bccc.LinkCount(), (AbcccParams{4, 2, 2}.LinkTotal()));
   EXPECT_EQ(bccc.Name(), "BCCC");
   EXPECT_EQ(bccc.Describe(), "BCCC(n=4,k=2)");
-  // Graphs are identical node-for-node (same construction order).
-  const graph::Graph& a = bccc.Network();
-  const graph::Graph& b = abccc.Network();
-  ASSERT_EQ(a.EdgeCount(), b.EdgeCount());
-  for (graph::EdgeId e = 0; static_cast<std::size_t>(e) < a.EdgeCount(); ++e) {
-    EXPECT_EQ(a.Endpoints(e), b.Endpoints(e));
-  }
 }
 
 TEST(AbcccTest, ServerPortsReportsDesignRequirement) {

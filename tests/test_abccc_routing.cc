@@ -82,7 +82,7 @@ TEST_P(RoutingSweep, LengthMatchesWalkAccounting) {
       const std::vector<int> order =
           MakeLevelOrder(net, from, to, strategy, &order_rng);
       const Route route{net.RouteWithLevelOrder(src, dst, order)};
-      EXPECT_EQ(route.LinkCount(), ExpectedWalkLength(net.Params(), from, to, order));
+      EXPECT_EQ(route.LinkCount(), ExpectedWalkLength(P(), from, to, order));
     }
   }
 }

@@ -2,61 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 
 #include "common/error.h"
 
 namespace dcn::topo {
 namespace {
-
-TEST(AddressTest, DigitsToIndexLittleEndianWeights) {
-  // digits[i] has weight base^i: [1, 2, 3] base 4 = 1 + 2*4 + 3*16 = 57.
-  const Digits digits{1, 2, 3};
-  EXPECT_EQ(DigitsToIndex(digits, 4), 57u);
-}
-
-TEST(AddressTest, RoundTripAllValues) {
-  const int base = 3;
-  const int count = 4;
-  for (std::uint64_t index = 0; index < 81; ++index) {
-    const Digits digits = IndexToDigits(index, base, count);
-    ASSERT_EQ(digits.size(), 4u);
-    EXPECT_EQ(DigitsToIndex(digits, base), index);
-  }
-}
-
-TEST(AddressTest, IndexTooLargeThrows) {
-  EXPECT_THROW(IndexToDigits(8, 2, 3), InvalidArgument);  // 8 needs 4 bits
-  EXPECT_NO_THROW(IndexToDigits(7, 2, 3));
-}
-
-TEST(AddressTest, DigitOutOfRangeThrows) {
-  const Digits digits{5, 0};
-  EXPECT_THROW(DigitsToIndex(digits, 4), InvalidArgument);
-  EXPECT_THROW(DigitsToIndex(Digits{-1}, 4), InvalidArgument);
-}
-
-TEST(AddressTest, SkippingRemovesOnePosition) {
-  const Digits digits{1, 2, 3};  // base 4
-  // Skip position 1: remaining [1, 3] -> 1 + 3*4 = 13.
-  EXPECT_EQ(DigitsToIndexSkipping(digits, 4, 1), 13u);
-  // Skip position 0: [2, 3] -> 2 + 3*4 = 14.
-  EXPECT_EQ(DigitsToIndexSkipping(digits, 4, 0), 14u);
-  // Skip position 2: [1, 2] -> 1 + 2*4 = 9.
-  EXPECT_EQ(DigitsToIndexSkipping(digits, 4, 2), 9u);
-  EXPECT_THROW(DigitsToIndexSkipping(digits, 4, 3), InvalidArgument);
-}
-
-TEST(AddressTest, SkippingIsInjectivePerLevel) {
-  // Two addresses that differ only at the skipped position collide; any
-  // other difference must not.
-  const Digits a{1, 2, 3};
-  const Digits b{0, 2, 3};
-  const Digits c{1, 0, 3};
-  EXPECT_EQ(DigitsToIndexSkipping(a, 4, 0), DigitsToIndexSkipping(b, 4, 0));
-  EXPECT_NE(DigitsToIndexSkipping(a, 4, 0), DigitsToIndexSkipping(c, 4, 0));
-}
 
 TEST(AddressTest, ToStringBigEndian) {
   EXPECT_EQ(DigitsToString(Digits{1, 2, 3}, 4), "321");
@@ -68,32 +19,6 @@ TEST(AddressTest, HammingDistance) {
   EXPECT_EQ(HammingDistance(Digits{1, 2, 3}, Digits{1, 2, 3}), 0);
   EXPECT_EQ(HammingDistance(Digits{1, 2, 3}, Digits{0, 2, 1}), 2);
   EXPECT_THROW(HammingDistance(Digits{1}, Digits{1, 2}), InvalidArgument);
-}
-
-TEST(AddressTest, PackedDigitHelpersMatchDigitVectors) {
-  // The allocation-free helpers must agree with the digit-vector functions
-  // on every index and position — they are the hot-loop replacements.
-  const int base = 5;
-  const int count = 4;
-  std::array<int, 4> buf{};
-  for (std::uint64_t index = 0; index < 625; ++index) {
-    const Digits digits = IndexToDigits(index, base, count);
-    IndexToDigitsInto(index, base, buf);
-    for (int pos = 0; pos < count; ++pos) {
-      ASSERT_EQ(buf[static_cast<std::size_t>(pos)], digits[pos]);
-      ASSERT_EQ(DigitAt(index, base, pos), digits[pos]);
-
-      Digits replaced = digits;
-      replaced[pos] = (digits[pos] + 1) % base;
-      ASSERT_EQ(IndexWithDigit(index, base, pos, replaced[pos]),
-                DigitsToIndex(replaced, base));
-      ASSERT_EQ(IndexWithDigit(index, base, pos, digits[pos]), index);
-
-      const std::uint64_t rest = IndexSkippingDigit(index, base, pos);
-      ASSERT_EQ(rest, DigitsToIndexSkipping(digits, base, pos));
-      ASSERT_EQ(IndexInsertingDigit(rest, base, pos, digits[pos]), index);
-    }
-  }
 }
 
 TEST(AddressTest, CheckedMulAndAdd) {

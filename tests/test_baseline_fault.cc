@@ -39,10 +39,10 @@ TEST(BcubeFaultTest, NoFailuresFixesDigitsDirectly) {
 
 TEST(BcubeFaultTest, DetoursAroundADeadSwitch) {
   const Bcube net{BcubeParams{4, 1}};
-  const graph::NodeId src = net.ServerAt(Digits{0, 0});
-  const graph::NodeId dst = net.ServerAt(Digits{3, 0});  // differs at level 0
+  const graph::NodeId src = net.ServerAt(Digits{0, 0}, 0);
+  const graph::NodeId dst = net.ServerAt(Digits{3, 0}, 0);  // differs at level 0
   graph::FailureSet failures{net.Network()};
-  failures.KillNode(net.SwitchAt(0, Digits{0, 0}));
+  failures.KillNode(net.LevelSwitchAt(0, Digits{0, 0}));
   dcn::Rng rng{2};
   FaultRoutingOptions options;
   options.allow_bfs_fallback = false;

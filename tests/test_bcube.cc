@@ -41,7 +41,7 @@ TEST_P(BcubeSweep, EveryServerHasKPlusOnePorts) {
 TEST_P(BcubeSweep, AddressRoundTrip) {
   const Bcube net{P()};
   for (const graph::NodeId server : net.Servers()) {
-    EXPECT_EQ(net.ServerAt(net.AddressOf(server)), server);
+    EXPECT_EQ(net.ServerAt(net.AddressOf(server).digits, 0), server);
   }
 }
 
@@ -55,7 +55,8 @@ TEST_P(BcubeSweep, RoutesAreValidWithExactLength) {
     const routing::Route route{net.Route(src, dst)};
     EXPECT_EQ(routing::ValidateRoute(net.Network(), route), "");
     // BCubeRouting is shortest: exactly 2 links per differing digit.
-    const int hamming = HammingDistance(net.AddressOf(src), net.AddressOf(dst));
+    const int hamming =
+        HammingDistance(net.AddressOf(src).digits, net.AddressOf(dst).digits);
     EXPECT_EQ(route.LinkCount(), static_cast<std::size_t>(2 * hamming));
   }
 }
@@ -83,10 +84,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BcubeSweep,
 
 TEST(BcubeTest, SwitchConnectsPlane) {
   const Bcube net{BcubeParams{4, 1}};
-  const graph::NodeId sw = net.SwitchAt(1, Digits{2, 0});
+  const graph::NodeId sw = net.LevelSwitchAt(1, Digits{2, 0});
   // Level-1 switch for a_0 = 2 connects servers <0,2>, <1,2>, <2,2>, <3,2>.
   for (int d = 0; d < 4; ++d) {
-    EXPECT_TRUE(net.Network().Adjacent(sw, net.ServerAt(Digits{2, d})));
+    EXPECT_TRUE(net.Network().Adjacent(sw, net.ServerAt(Digits{2, d}, 0)));
   }
   EXPECT_EQ(net.Network().Degree(sw), 4u);
 }
@@ -94,7 +95,7 @@ TEST(BcubeTest, SwitchConnectsPlane) {
 TEST(BcubeTest, LabelsAndDescribe) {
   const Bcube net{BcubeParams{4, 1}};
   EXPECT_EQ(net.Describe(), "BCube(n=4,k=1)");
-  EXPECT_EQ(net.NodeLabel(net.ServerAt(Digits{2, 1})), "<12>");
+  EXPECT_EQ(net.NodeLabel(net.ServerAt(Digits{2, 1}, 0)), "<12>");
   EXPECT_EQ(net.Name(), "BCube");
 }
 

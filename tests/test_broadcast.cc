@@ -153,9 +153,9 @@ TEST(MulticastTest, InvalidTargetThrows) {
 
 TEST(BcubeBroadcastTest, CoversEveryServerAtDepthTwoPerLevel) {
   const topo::Bcube net{topo::BcubeParams{4, 2}};
-  const SpanningTree tree = BcubeBroadcastTree(net, 0);
+  const SpanningTree tree = AbcccBroadcastTree(net, 0);
   EXPECT_EQ(tree.CoveredCount(), net.ServerCount());
-  EXPECT_EQ(tree.MaxDepth(), 2 * (net.Params().k + 1));
+  EXPECT_EQ(tree.MaxDepth(), 2 * (net.Params().Order() + 1));
   const graph::Graph& g = net.Network();
   for (const graph::NodeId server : net.Servers()) {
     if (server == tree.root) continue;
@@ -168,7 +168,7 @@ TEST(BcubeBroadcastTest, CoversEveryServerAtDepthTwoPerLevel) {
 TEST(BcubeBroadcastTest, PathsAreValidRoutes) {
   const topo::Bcube net{topo::BcubeParams{3, 1}};
   dcn::Rng rng{34};
-  const SpanningTree tree = BcubeBroadcastTree(net, 4);
+  const SpanningTree tree = AbcccBroadcastTree(net, 4);
   for (int trial = 0; trial < 10; ++trial) {
     const graph::NodeId target =
         net.Servers()[rng.NextUint64(net.ServerCount())];
@@ -180,7 +180,7 @@ TEST(BcubeBroadcastTest, PathsAreValidRoutes) {
 TEST(BcubeBroadcastTest, RootedAnywhere) {
   const topo::Bcube net{topo::BcubeParams{2, 3}};
   for (const graph::NodeId root : net.Servers()) {
-    const SpanningTree tree = BcubeBroadcastTree(net, root);
+    const SpanningTree tree = AbcccBroadcastTree(net, root);
     EXPECT_EQ(tree.CoveredCount(), net.ServerCount());
     EXPECT_EQ(tree.root, root);
   }

@@ -50,7 +50,7 @@ TEST(BroadcastSimTest, OverloadDropsCopiesAndBreaksCompleteness) {
 
 TEST(BroadcastSimTest, DeterministicGivenSeed) {
   const topo::Bcube net{topo::BcubeParams{3, 1}};
-  const routing::SpanningTree tree = routing::BcubeBroadcastTree(net, 2);
+  const routing::SpanningTree tree = routing::AbcccBroadcastTree(net, 2);
   BroadcastSimConfig config;
   config.message_rate = 0.3;
   config.duration = 400;
@@ -66,7 +66,7 @@ TEST(BroadcastSimTest, ThroughputCeilingIsRootFanout) {
   // outgoing link caps the sustainable message rate at 1 msg per service
   // time. Just below that, completion still holds; just above, it collapses.
   const topo::Bcube net{topo::BcubeParams{4, 1}};
-  const routing::SpanningTree tree = routing::BcubeBroadcastTree(net, 0);
+  const routing::SpanningTree tree = routing::AbcccBroadcastTree(net, 0);
   BroadcastSimConfig below;
   below.message_rate = 0.15;
   below.duration = 1500;

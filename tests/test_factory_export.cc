@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "topology/abccc.h"
@@ -23,8 +26,7 @@ TEST(FactoryTest, ParametersReachTheTopology) {
   EXPECT_EQ(net->Describe(), "ABCCC(n=5,k=2,c=3)");
   const auto* abccc = dynamic_cast<const Abccc*>(net.get());
   ASSERT_NE(abccc, nullptr);
-  EXPECT_EQ(abccc->Params().n, 5);
-  EXPECT_EQ(abccc->Params().k, 2);
+  EXPECT_EQ(abccc->Params().radices, (std::vector<int>{5, 5, 5}));
   EXPECT_EQ(abccc->Params().c, 3);
 }
 
@@ -75,6 +77,40 @@ TEST(FactoryTest, ErrorsNameTheProblem) {
   // Invalid parameter values propagate the topology's own validation.
   EXPECT_THROW(MakeTopology("abccc:n=1,k=1,c=2"), dcn::InvalidArgument);
   EXPECT_THROW(MakeTopology("fattree:k=3"), dcn::InvalidArgument);
+}
+
+TEST(FactoryTest, ValuesMustBeWholeIntegers) {
+  // Each value is parsed whole: trailing garbage, stray spaces and empty
+  // values are rejected with the spec and the key in the message.
+  for (const auto& [spec, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"abccc:n=4x,k=2,c=2", "'n'"},
+           {"abccc:n=4,k=,c=2", "'k'"},
+           {"bcube:n=4 ,k=1", "'n'"},
+           {"bccc:n=+4,k=1", "'n'"},
+           {"gabccc:radices=4.4x.2,c=2", "'radices'"},
+           {"gabccc:radices=4..2,c=2", "'radices'"}}) {
+    try {
+      MakeTopology(spec);
+      ADD_FAILURE() << "expected InvalidArgument for " << spec;
+    } catch (const dcn::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + spec + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(FactoryTest, DuplicateKeysAreRejected) {
+  try {
+    MakeTopology("abccc:n=4,k=2,c=2,c=3");
+    FAIL() << "expected InvalidArgument";
+  } catch (const dcn::InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("duplicate key 'c'"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string{e.what()}.find("'abccc:n=4,k=2,c=2,c=3'"),
+              std::string::npos);
+  }
 }
 
 TEST(ExportTest, DotContainsAllNodesAndEdges) {

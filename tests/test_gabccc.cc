@@ -1,5 +1,5 @@
-#include "topology/gabccc.h"
-
+// GeneralABCCC: the cube algebra with per-level radices (topology/implicit.h),
+// materialized through topo::Abccc.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +12,7 @@
 #include "routing/multipath.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
+#include "topology/expansion.h"
 
 namespace dcn::topo {
 namespace {
@@ -21,6 +22,17 @@ TEST(GeneralAbcccParamsTest, Validation) {
   EXPECT_THROW((GeneralAbcccParams{{}, 2}.Validate()), dcn::InvalidArgument);
   EXPECT_THROW((GeneralAbcccParams{{2, 1}, 2}.Validate()), dcn::InvalidArgument);
   EXPECT_THROW((GeneralAbcccParams{{2, 2}, 1}.Validate()), dcn::InvalidArgument);
+}
+
+TEST(GeneralAbcccParamsTest, LinkTotalOverflowIsRejected) {
+  // 2^60 rows of one server each (m = 1) fit 64 bits; 59 levels of links
+  // per row do not.
+  std::vector<int> radices(58, 2);
+  radices.push_back(4);
+  const GeneralAbcccParams params{radices, 60};
+  EXPECT_EQ(params.RowLength(), 1);
+  EXPECT_EQ(params.ServerTotal(), std::uint64_t{1} << 60);
+  EXPECT_THROW(params.Validate(), dcn::InvalidArgument);
 }
 
 TEST(GeneralAbcccParamsTest, MixedRadixCounts) {
@@ -38,41 +50,44 @@ TEST(GeneralAbcccParamsTest, MixedRadixCounts) {
   EXPECT_EQ(p.LinkTotal(), 3u * 24u + 72u);
 }
 
-TEST(GeneralAbcccTest, UniformRadixMatchesAbccc) {
-  const GeneralAbccc general{GeneralAbcccParams{{4, 4, 4}, 2}};
-  const Abccc uniform{AbcccParams{4, 2, 2}};
-  ASSERT_EQ(general.ServerCount(), uniform.ServerCount());
-  ASSERT_EQ(general.SwitchCount(), uniform.SwitchCount());
-  ASSERT_EQ(general.LinkCount(), uniform.LinkCount());
-  // Structurally identical under the shared addressing (edge insertion order
-  // differs, so compare through the address API, not by edge id).
-  for (const graph::NodeId server : uniform.Servers()) {
-    const AbcccAddress a = uniform.AddressOf(server);
-    const AbcccAddress b = general.AddressOf(server);
-    ASSERT_EQ(a.digits, b.digits);
-    ASSERT_EQ(a.role, b.role);
-    ASSERT_EQ(uniform.Network().Degree(server), general.Network().Degree(server));
-    const auto [lo, hi] = uniform.Params().AgentLevels(a.role);
-    for (int level = lo; level <= hi; ++level) {
-      EXPECT_TRUE(general.Network().Adjacent(
-          server, general.LevelSwitchAt(level, b.digits)));
-    }
-    EXPECT_TRUE(general.Network().Adjacent(
-        server, general.CrossbarAt(general.RowOf(server))));
+TEST(GeneralAbcccTest, RowDigitsRoundTrip) {
+  const ImplicitCube cube{GeneralAbcccParams{{4, 3, 2}, 2}};
+  for (std::uint64_t row = 0; row < cube.Params().RowCount(); ++row) {
+    EXPECT_EQ(cube.RowIndex(cube.RowDigits(row)), row);
   }
+  EXPECT_THROW(cube.RowIndex(Digits{0, 3, 0}), dcn::InvalidArgument);
+  EXPECT_THROW(cube.RowIndex(Digits{-1, 0, 0}), dcn::InvalidArgument);
+  EXPECT_THROW(cube.RowIndex(Digits{0, 0}), dcn::InvalidArgument);
+  EXPECT_THROW(cube.RowDigits(24), dcn::InvalidArgument);
 }
 
-TEST(GeneralAbcccTest, RowDigitsRoundTrip) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
-  for (std::uint64_t row = 0; row < net.Params().RowCount(); ++row) {
-    EXPECT_EQ(net.DigitsToRow(net.RowToDigits(row)), row);
+TEST(GeneralAbcccTest, RowIndexUsesLittleEndianMixedRadixWeights) {
+  // Weights 1, 4, 4*3: [1, 2, 1] -> 1 + 2*4 + 1*12 = 21.
+  const ImplicitCube cube{GeneralAbcccParams{{4, 3, 2}, 2}};
+  EXPECT_EQ(cube.RowIndex(Digits{1, 2, 1}), 21u);
+  EXPECT_EQ(cube.RowDigits(21), (Digits{1, 2, 1}));
+}
+
+TEST(GeneralAbcccTest, LevelSwitchIsSharedExactlyByItsPlane) {
+  // Two rows share their level-l switch iff they differ at most in digit l.
+  const ImplicitCube cube{GeneralAbcccParams{{4, 3, 2}, 2}};
+  for (std::uint64_t a = 0; a < cube.Params().RowCount(); ++a) {
+    for (std::uint64_t b = 0; b < cube.Params().RowCount(); ++b) {
+      const Digits da = cube.RowDigits(a);
+      const Digits db = cube.RowDigits(b);
+      for (int level = 0; level <= 2; ++level) {
+        Digits masked = db;
+        masked[level] = da[level];
+        EXPECT_EQ(cube.LevelSwitchAt(level, da) == cube.LevelSwitchAt(level, db),
+                  masked == da);
+      }
+    }
   }
-  EXPECT_THROW(net.DigitsToRow(Digits{0, 3, 0}), dcn::InvalidArgument);
 }
 
 TEST(GeneralAbcccTest, StructureDegreesAndConnectivity) {
   const GeneralAbcccParams p{{4, 3, 2}, 2};
-  const GeneralAbccc net{p};
+  const Abccc net{p};
   const graph::Graph& g = net.Network();
   EXPECT_TRUE(graph::IsConnected(g));
   // Level-l switch degree = radices[l]; check via a row's switches.
@@ -84,7 +99,7 @@ TEST(GeneralAbcccTest, StructureDegreesAndConnectivity) {
 }
 
 TEST(GeneralAbcccTest, LevelSwitchConnectsItsPlane) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
   const graph::Graph& g = net.Network();
   Digits digits{1, 2, 0};
   const graph::NodeId sw = net.LevelSwitchAt(1, digits);
@@ -95,7 +110,7 @@ TEST(GeneralAbcccTest, LevelSwitchConnectsItsPlane) {
 }
 
 TEST(GeneralAbcccTest, AllPairsRoutingIsValid) {
-  const GeneralAbccc net{GeneralAbcccParams{{3, 2, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{3, 2, 2}, 2}};
   for (const graph::NodeId src : net.Servers()) {
     for (const graph::NodeId dst : net.Servers()) {
       const routing::Route route{net.Route(src, dst)};
@@ -108,7 +123,7 @@ TEST(GeneralAbcccTest, AllPairsRoutingIsValid) {
 }
 
 TEST(GeneralAbcccTest, RoutingNotShorterThanBfs) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 2, 3}, 3}};
+  const Abccc net{GeneralAbcccParams{{4, 2, 3}, 3}};
   Rng rng{91};
   const auto servers = net.Servers();
   for (int trial = 0; trial < 40; ++trial) {
@@ -121,7 +136,7 @@ TEST(GeneralAbcccTest, RoutingNotShorterThanBfs) {
 }
 
 TEST(GeneralAbcccTest, DescribeAndLabels) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
   EXPECT_EQ(net.Describe(), "GeneralABCCC(radices=[2,3,4],c=2)");
   EXPECT_EQ(net.Name(), "GeneralABCCC");
   EXPECT_EQ(net.NodeLabel(net.ServerAt(Digits{1, 2, 0}, 1)), "<021;1>");
@@ -144,32 +159,40 @@ TEST(SliceExpansionTest, PlanIsPureAddition) {
 TEST(SliceExpansionTest, SliceGrowthChainEmbeds) {
   // Grow the top level 2 -> 3 -> 4: every step keeps the old network intact.
   for (int r = 2; r < 4; ++r) {
-    const GeneralAbccc before{GeneralAbcccParams{{4, 4, r}, 2}};
-    const GeneralAbccc after{GeneralAbcccParams{{4, 4, r + 1}, 2}};
-    EXPECT_TRUE(VerifySliceExpansion(before, after)) << "r=" << r;
+    const Abccc before{GeneralAbcccParams{{4, 4, r}, 2}};
+    const Abccc after{GeneralAbcccParams{{4, 4, r + 1}, 2}};
+    EXPECT_TRUE(VerifyAbcccExpansion(before, after)) << "r=" << r;
   }
 }
 
 TEST(SliceExpansionTest, LowerLevelGrowthAlsoEmbeds) {
-  const GeneralAbccc before{GeneralAbcccParams{{3, 4, 2}, 3}};
-  const GeneralAbccc after{GeneralAbcccParams{{4, 4, 2}, 3}};
-  EXPECT_TRUE(VerifySliceExpansion(before, after));
+  const Abccc before{GeneralAbcccParams{{3, 4, 2}, 3}};
+  const Abccc after{GeneralAbcccParams{{4, 4, 2}, 3}};
+  EXPECT_TRUE(VerifyAbcccExpansion(before, after));
 }
 
 TEST(SliceExpansionTest, MismatchesRejected) {
-  const GeneralAbccc a{GeneralAbcccParams{{4, 4}, 2}};
-  const GeneralAbccc shrunk{GeneralAbcccParams{{4, 3}, 2}};
-  EXPECT_FALSE(VerifySliceExpansion(a, shrunk));
-  const GeneralAbccc other_c{GeneralAbcccParams{{4, 4}, 3}};
-  EXPECT_FALSE(VerifySliceExpansion(a, other_c));
-  const GeneralAbccc deeper{GeneralAbcccParams{{4, 4, 2}, 2}};
-  EXPECT_FALSE(VerifySliceExpansion(a, deeper));
+  const Abccc a{GeneralAbcccParams{{4, 4}, 2}};
+  const Abccc shrunk{GeneralAbcccParams{{4, 3}, 2}};
+  EXPECT_FALSE(VerifyAbcccExpansion(a, shrunk));
+  const Abccc other_c{GeneralAbcccParams{{4, 4}, 3}};
+  EXPECT_FALSE(VerifyAbcccExpansion(a, other_c));
+  const Abccc two_levels_deeper{GeneralAbcccParams{{4, 4, 2, 2}, 2}};
+  EXPECT_FALSE(VerifyAbcccExpansion(a, two_levels_deeper));
+}
+
+TEST(SliceExpansionTest, NewPartialTopLevelEmbeds) {
+  // An order step that opens the new level with a partial slice: the old
+  // rows keep their addresses with a_2 = 0 and every link.
+  const Abccc before{GeneralAbcccParams{{4, 4}, 2}};
+  const Abccc after{GeneralAbcccParams{{4, 4, 2}, 2}};
+  EXPECT_TRUE(VerifyAbcccExpansion(before, after));
 }
 
 TEST(SliceExpansionTest, IdenticalNetworksEmbedTrivially) {
-  const GeneralAbccc a{GeneralAbcccParams{{3, 3}, 2}};
-  const GeneralAbccc b{GeneralAbcccParams{{3, 3}, 2}};
-  EXPECT_TRUE(VerifySliceExpansion(a, b));
+  const Abccc a{GeneralAbcccParams{{3, 3}, 2}};
+  const Abccc b{GeneralAbcccParams{{3, 3}, 2}};
+  EXPECT_TRUE(VerifyAbcccExpansion(a, b));
 }
 
 TEST(GeneralAbcccTest, PartialDeploymentSizesInterpolate) {
@@ -188,7 +211,7 @@ TEST(GeneralAbcccTest, PartialDeploymentSizesInterpolate) {
 }
 
 TEST(GeneralAbcccRoutingTest, BroadcastCoversPartialDeployment) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 4, 3}, 2}};  // partial top
+  const Abccc net{GeneralAbcccParams{{4, 4, 3}, 2}};  // partial top
   const routing::SpanningTree tree = routing::AbcccBroadcastTree(net, 0);
   EXPECT_EQ(tree.CoveredCount(), net.ServerCount());
   for (const graph::NodeId server : net.Servers()) {
@@ -198,7 +221,7 @@ TEST(GeneralAbcccRoutingTest, BroadcastCoversPartialDeployment) {
 }
 
 TEST(GeneralAbcccRoutingTest, MulticastPrunesPartialDeployment) {
-  const GeneralAbccc net{GeneralAbcccParams{{3, 3, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{3, 3, 2}, 2}};
   const std::vector<graph::NodeId> targets{3, 17, 25};
   const routing::SpanningTree tree = routing::AbcccMulticastTree(net, 0, targets);
   for (const graph::NodeId target : targets) {
@@ -208,7 +231,7 @@ TEST(GeneralAbcccRoutingTest, MulticastPrunesPartialDeployment) {
 }
 
 TEST(GeneralAbcccRoutingTest, ForwardingReachesEveryPair) {
-  const GeneralAbccc net{GeneralAbcccParams{{3, 2, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{3, 2, 2}, 2}};
   for (const graph::NodeId src : net.Servers()) {
     for (const graph::NodeId dst : net.Servers()) {
       const routing::Route route = routing::AbcccForwardRoute(net, src, dst);
@@ -219,7 +242,7 @@ TEST(GeneralAbcccRoutingTest, ForwardingReachesEveryPair) {
 }
 
 TEST(GeneralAbcccRoutingTest, RotatedRoutesAreValidOnMixedRadices) {
-  const GeneralAbccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
+  const Abccc net{GeneralAbcccParams{{4, 3, 2}, 2}};
   Rng rng{93};
   const auto servers = net.Servers();
   for (int trial = 0; trial < 25; ++trial) {

@@ -21,7 +21,6 @@
 #include "topology/dcell.h"
 #include "topology/fattree.h"
 #include "topology/ficonn.h"
-#include "topology/gabccc.h"
 
 namespace dcn {
 namespace {
@@ -34,7 +33,7 @@ std::vector<std::unique_ptr<topo::Topology>> AllTopologies() {
   nets.push_back(std::make_unique<Abccc>(AbcccParams{4, 2, 3}));
   nets.push_back(std::make_unique<topo::Bccc>(4, 2));
   nets.push_back(
-      std::make_unique<topo::GeneralAbccc>(topo::GeneralAbcccParams{{4, 4, 3}, 2}));
+      std::make_unique<Abccc>(topo::GeneralAbcccParams{{4, 4, 3}, 2}));
   nets.push_back(std::make_unique<topo::Bcube>(4, 2));
   nets.push_back(std::make_unique<topo::Dcell>(4, 1));
   nets.push_back(std::make_unique<topo::FiConn>(4, 2));

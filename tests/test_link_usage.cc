@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "routing/abccc_routing.h"
 #include "sim/traffic.h"
@@ -59,7 +60,7 @@ TEST(LinkUsageTest, PermutationLoadsEveryClass) {
 }
 
 TEST(LinkUsageTest, WorksOnMixedRadices) {
-  const topo::GeneralAbccc net{topo::GeneralAbcccParams{{4, 3, 2}, 2}};
+  const Abccc net{topo::GeneralAbcccParams{{4, 3, 2}, 2}};
   dcn::Rng rng{6};
   std::vector<routing::Route> routes;
   for (const sim::Flow& flow : sim::PermutationTraffic(net, rng)) {

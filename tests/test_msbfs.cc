@@ -27,7 +27,6 @@
 #include "topology/dcell.h"
 #include "topology/fattree.h"
 #include "topology/ficonn.h"
-#include "topology/gabccc.h"
 
 namespace dcn::graph {
 namespace {
@@ -72,7 +71,7 @@ std::vector<std::pair<std::string, Graph>> FamilyGraphs() {
   graphs.emplace_back("ficonn", topo::FiConn{4, 1}.Network());
   graphs.emplace_back("fattree", topo::FatTree{4}.Network());
   graphs.emplace_back(
-      "gabccc", topo::GeneralAbccc{topo::GeneralAbcccParams{{3, 4}, 2}}.Network());
+      "gabccc", topo::Abccc{topo::GeneralAbcccParams{{3, 4}, 2}}.Network());
   return graphs;
 }
 

@@ -93,8 +93,8 @@ TEST(MultipathTest, DualPortServersHaveTwoDisjointPaths) {
 
 TEST(MultipathTest, BcubeAllDigitsDifferGivesKPlusOnePaths) {
   const topo::Bcube net{topo::BcubeParams{4, 1}};
-  const graph::NodeId src = net.ServerAt(Digits{0, 0});
-  const graph::NodeId dst = net.ServerAt(Digits{1, 1});
+  const graph::NodeId src = net.ServerAt(Digits{0, 0}, 0);
+  const graph::NodeId dst = net.ServerAt(Digits{1, 1}, 0);
   const std::vector<Route> routes = MaxDisjointRoutes(net, src, dst);
   EXPECT_EQ(routes.size(), 2u);  // k+1 parallel paths
 }

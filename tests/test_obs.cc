@@ -293,5 +293,30 @@ TEST_F(ObsTest, StatsJsonAndReportTableRenderEveryKind) {
   EXPECT_NE(table.str().find("test/json_span"), std::string::npos);
 }
 
+TEST_F(ObsTest, ReportTableTimerMeanIsInMilliseconds) {
+  // timer-ms rows: value is the total in ms, mean = value / count, also ms.
+  Snapshot snap;
+  snap.timers.push_back(TimerRow{"test/timer", 4, 10'000'000});
+  std::ostringstream table;
+  ReportTable(snap).Print(table, "obs test");
+  std::istringstream lines{table.str()};
+  std::string line;
+  while (std::getline(lines, line) && line.find("test/timer") == std::string::npos) {
+  }
+  std::vector<std::string> cells;
+  std::istringstream row{line};
+  for (std::string cell; std::getline(row, cell, '|');) {
+    cell.erase(0, cell.find_first_not_of(' '));
+    cell.erase(cell.find_last_not_of(' ') + 1);
+    cells.push_back(cell);
+  }
+  // "", metric, kind, count, value, mean, max
+  ASSERT_GE(cells.size(), 7u) << line;
+  EXPECT_EQ(cells[2], "timer-ms");
+  EXPECT_EQ(cells[3], "4");
+  EXPECT_EQ(cells[4], "10.000");
+  EXPECT_EQ(cells[5], "2.500");
+}
+
 }  // namespace
 }  // namespace dcn::obs

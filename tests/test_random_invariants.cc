@@ -21,7 +21,6 @@
 #include "topology/abccc.h"
 #include "topology/custom.h"
 #include "topology/expansion.h"
-#include "topology/gabccc.h"
 
 namespace dcn {
 namespace {
@@ -129,7 +128,7 @@ TEST_P(RandomGeneralInvariants, StructureRoutingBroadcast) {
   SCOPED_TRACE(desc + " c=" + std::to_string(params.c) + " seed " +
                std::to_string(GetParam()));
 
-  const topo::GeneralAbccc net{params};
+  const topo::Abccc net{params};
   ASSERT_TRUE(graph::IsConnected(net.Network()));
 
   const auto servers = net.Servers();
@@ -151,8 +150,8 @@ TEST_P(RandomGeneralInvariants, StructureRoutingBroadcast) {
   if (params.ServerTotal() < 1500) {
     topo::GeneralAbcccParams bigger = params;
     ++bigger.radices[level];
-    const topo::GeneralAbccc expanded{bigger};
-    ASSERT_TRUE(topo::VerifySliceExpansion(net, expanded));
+    const topo::Abccc expanded{bigger};
+    ASSERT_TRUE(topo::VerifyAbcccExpansion(net, expanded));
   }
 }
 
