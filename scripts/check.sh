@@ -77,11 +77,17 @@ if ! diff <(sed -n '/== F9: packet-level/,/^$/p' build/f9_plain.txt) \
 fi
 # F9 is packet-level, so its FCT summary is an empty table; the fluid shuffle
 # bench records real completion times and must produce populated quantile
-# rows from the bounded sketch (no per-flow CSV needed).
+# rows from the bounded sketch (no per-flow CSV needed). Its stats must also
+# carry the FCT sketch and the progressive-filling counters (one
+# flowsim/calls per fluid rate recomputation).
 ./build/bench/bench_f23_shuffle \
-  --fct-summary=build/f23_fct_summary.txt > /dev/null
+  --fct-summary=build/f23_fct_summary.txt \
+  --stats-json=build/f23_stats.json > /dev/null
 grep -q '| fluid |' build/f23_fct_summary.txt || {
   echo "error: FCT summary has no fluid rows" >&2; exit 1; }
+python3 scripts/validate_stats.py build/f23_stats.json \
+  --expect-sketch fluid/fct --expect-counter fluid/rate_recomputations \
+  --expect-counter flowsim/calls --expect-counter flowsim/bottleneck_rounds
 ./build/bench/bench_parallel_scaling --repeats=1 --threads-max=4 \
   --min-speedup=0 --trace-out=build/trace_scaling.json > /dev/null
 python3 scripts/validate_trace.py build/trace_scaling.json \

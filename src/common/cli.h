@@ -10,12 +10,16 @@ namespace dcn {
 
 class CliArgs {
  public:
-  // Accepts "--key=value" and bare "--flag" tokens; anything else throws
-  // InvalidArgument so typos in an experiment invocation are loud.
+  // Accepts "--key=value" and bare "--flag" tokens; anything else, or a key
+  // given twice, throws InvalidArgument so typos in an experiment invocation
+  // are loud.
   CliArgs(int argc, const char* const* argv);
 
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key, const std::string& fallback) const;
+  // GetInt / GetDouble parse the whole value (std::from_chars): an empty
+  // value, trailing characters, a '+' sign, an out-of-range value or a
+  // non-finite double throws InvalidArgument naming the flag.
   std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;

@@ -7,6 +7,7 @@
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/sketch.h"
+#include "sim/fill.h"
 
 namespace dcn::sim {
 
@@ -23,100 +24,13 @@ FlowSimResult MaxMinFairRatesWithDemands(const graph::Graph& graph,
   }
 
   OBS_SPAN("flowsim/maxmin");
-  // Per-thread run nesting means calls made from inside fluid's draining
-  // loop (which holds its own RunScope) record nothing here.
+  // Per-thread run nesting means a call made inside another simulator's run
+  // records nothing here.
   obs::flight::RunScope flight_run{"flowsim", /*duration=*/0.0};
   FlowSimResult result;
-  result.rates.assign(routes.size(), 0.0);
-
-  // Flows with a route and at least one link participate in filling. Flows
-  // whose route is just {src} (src == dst) are unconstrained; give them one
-  // link-capacity worth of loopback bandwidth.
-  const graph::CsrView& csr = graph.Csr();
-  graph::EpochMarks used_links;
-  std::vector<std::vector<std::uint64_t>> flow_links(routes.size());
-  std::vector<double> capacity(graph.EdgeCount() * 2, link_capacity);
-  std::vector<int> active(graph.EdgeCount() * 2, 0);
-  std::vector<bool> fixed(routes.size(), true);
-  std::size_t unfixed = 0;
-  for (std::size_t f = 0; f < routes.size(); ++f) {
-    if (routes[f].Empty()) continue;
-    if (routes[f].LinkCount() == 0) {
-      result.rates[f] = std::min(link_capacity, demands[f]);
-      continue;
-    }
-    routing::RouteDirectedLinksInto(csr, routes[f], used_links, flow_links[f]);
-    for (std::uint64_t link : flow_links[f]) ++active[link];
-    fixed[f] = false;
-    ++unfixed;
-  }
-
-  std::uint64_t obs_rounds = 0;
-  while (unfixed > 0) {
-    ++obs_rounds;
-    // Bottleneck link: smallest fair share among links with active flows.
-    double best_share = std::numeric_limits<double>::infinity();
-    std::uint64_t bottleneck = 0;
-    for (std::uint64_t link = 0; link < capacity.size(); ++link) {
-      if (active[link] == 0) continue;
-      const double share = capacity[link] / static_cast<double>(active[link]);
-      if (share < best_share) {
-        best_share = share;
-        bottleneck = link;
-      }
-    }
-    DCN_ASSERT(best_share < std::numeric_limits<double>::infinity());
-
-    // Demand-limited flows freeze first: any unfixed flow whose demand is at
-    // most the current fair share stops at its demand, releasing capacity
-    // for everyone else. Only if no flow is demand-limited does the
-    // bottleneck link freeze its flows at the fair share.
-    double min_demand = std::numeric_limits<double>::infinity();
-    for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (!fixed[f]) min_demand = std::min(min_demand, demands[f]);
-    }
-
-    auto freeze = [&](std::size_t f, double rate) {
-      result.rates[f] = rate;
-      fixed[f] = true;
-      --unfixed;
-      for (std::uint64_t link : flow_links[f]) {
-        capacity[link] -= rate;
-        if (capacity[link] < 0) capacity[link] = 0;  // numeric guard
-        --active[link];
-      }
-    };
-
-    if (min_demand <= best_share) {
-      for (std::size_t f = 0; f < routes.size(); ++f) {
-        if (!fixed[f] && demands[f] <= best_share) freeze(f, demands[f]);
-      }
-      continue;
-    }
-
-    // Freeze every unfixed flow crossing the bottleneck at the fair share.
-    for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (fixed[f]) continue;
-      bool crosses = false;
-      for (std::uint64_t link : flow_links[f]) {
-        if (link == bottleneck) {
-          crosses = true;
-          break;
-        }
-      }
-      if (crosses) freeze(f, best_share);
-    }
-  }
-
-  // Rounds-to-convergence of the progressive-filling loop (each round scans
-  // every link for the bottleneck): the quantity that decides whether this
-  // water-filling needs a heap. Deterministic per (graph, routes, demands).
-  static obs::Counter& c_calls = obs::GetCounter("flowsim/calls");
-  static obs::Counter& c_rounds = obs::GetCounter("flowsim/bottleneck_rounds");
-  static obs::Histogram& h_rounds = obs::GetHistogram("flowsim/rounds_per_call");
-  c_calls.Add(1);
-  c_rounds.Add(obs_rounds);
-  h_rounds.Add(static_cast<std::int64_t>(obs_rounds));
+  const std::vector<char> every_flow(routes.size(), 1);
+  ProgressiveFill fill{graph, routes, demands, link_capacity, every_flow};
+  fill.Fill(every_flow, result.rates);
 
   double min_rate = std::numeric_limits<double>::infinity();
   double max_rate = 0.0;
@@ -147,9 +61,10 @@ FlowSimResult MaxMinFairRatesWithDemands(const graph::Graph& graph,
                /*bytes=*/0.0, result.rates[f]);
     }
   }
-  // Bounded rate-distribution telemetry, top-level calls only: fluid invokes
-  // this solver once per draining event, and those inner allocations are
-  // transient — the converged rates fluid reports flow through its own sinks.
+  // Bounded rate-distribution telemetry, top-level calls only. Fluid's
+  // per-recomputation fills never come through here: their rates are
+  // transient, and the completion times fluid reports flow through its own
+  // sinks.
   if (!flight_run.nested()) {
     obs::QuantileSketch rates;
     for (std::size_t f = 0; f < routes.size(); ++f) {
@@ -165,8 +80,7 @@ FlowSimResult MaxMinFairRatesWithDemands(const graph::Graph& graph,
 FlowSimResult MaxMinFairRates(const graph::Graph& graph,
                               const std::vector<routing::Route>& routes,
                               double link_capacity, bool count_empty_as_zero) {
-  const std::vector<double> unbounded(
-      routes.size(), std::numeric_limits<double>::max() / 4);
+  const std::vector<double> unbounded(routes.size(), kUnboundedDemand);
   return MaxMinFairRatesWithDemands(graph, routes, unbounded, link_capacity,
                                     count_empty_as_zero);
 }

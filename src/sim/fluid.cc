@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/sketch.h"
-#include "sim/flowsim.h"
+#include "sim/fill.h"
 
 namespace dcn::sim {
 
@@ -31,8 +32,7 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   }
 
   OBS_SPAN("fluid/run");
-  // Opening the run here (before the draining loop) also suppresses the
-  // inner MaxMinFairRates calls' own RunScopes — only fluid's per-flow
+  // The fills below open no run of their own: only fluid's per-flow
   // completion times are recorded, not every recomputation's rates.
   obs::flight::RunScope flight_run{"fluid", /*duration=*/0.0};
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
@@ -40,15 +40,15 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   result.finish_time.assign(routes.size(), kInfinity);
 
   std::vector<double> remaining = bytes;
-  std::vector<bool> done(routes.size(), false);
   // Unroutable flows never finish; self-flows finish at full NIC rate.
+  std::vector<char> live(routes.size(), 0);
   std::size_t active = 0;
   std::uint64_t unroutable = 0;
   for (std::size_t f = 0; f < routes.size(); ++f) {
     if (routes[f].Empty()) {
-      done[f] = true;
       ++unroutable;
     } else {
+      live[f] = 1;
       ++active;
     }
   }
@@ -83,8 +83,9 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
     }
     return false;
   };
-  // Applies every fault due at or before `now`; returns true when a kill
-  // event landed (degrades never change the fluid picture).
+  // Applies every fault due at or before `now` and terminates the live flows
+  // crossing a dead element; returns true when that shrank the live set
+  // (degrades, restores and kills no live route crosses leave it alone).
   const auto apply_due_faults = [&](double now) {
     bool killed = false;
     while (fault_cursor < fault_events.size() &&
@@ -99,67 +100,68 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
         killed = true;
       }
     }
-    return killed;
-  };
-
-  double now = 0.0;
-  if (apply_due_faults(now)) {
+    if (!killed) return false;
+    const std::uint64_t before = result.killed_flows;
     for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (done[f] || !crosses_dead(routes[f])) continue;
-      done[f] = true;
+      if (!live[f] || !crosses_dead(routes[f])) continue;
+      live[f] = 0;
       --active;
       ++result.killed_flows;
     }
-  }
+    return result.killed_flows > before;
+  };
+
+  // One kernel for the whole drain: routes are resolved (and validated) for
+  // the flows live at the first recomputation, and each recomputation is a
+  // fresh fill over the live set. Rates change only when that set does, so
+  // there are at most F fills for F flows.
+  const std::vector<double> unbounded(routes.size(), kUnboundedDemand);
+  std::optional<ProgressiveFill> fill;
+  std::vector<double> rates;
+  bool live_set_changed = true;
+  double now = 0.0;
+  apply_due_faults(now);
   while (active > 0) {
-    // Rates for the currently active flows (finished flows release capacity
-    // by being excluded — empty routes get rate 0 and are skipped).
-    std::vector<routing::Route> current(routes.size());
-    for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (!done[f]) current[f] = routes[f];
+    if (live_set_changed) {
+      OBS_SPAN("flowsim/maxmin");
+      if (!fill) fill.emplace(graph, routes, unbounded, link_capacity, live);
+      fill->Fill(live, rates);
+      ++result.rate_recomputations;
+      live_set_changed = false;
     }
-    const FlowSimResult rates =
-        MaxMinFairRates(graph, current, link_capacity, /*count_empty=*/true);
-    ++result.rate_recomputations;
 
     // Next completion: smallest remaining/rate among active flows.
     double step = kInfinity;
     for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (done[f]) continue;
-      DCN_ASSERT(rates.rates[f] > 0);
-      step = std::min(step, remaining[f] / rates.rates[f]);
+      if (!live[f]) continue;
+      DCN_ASSERT(rates[f] > 0);
+      step = std::min(step, remaining[f] / rates[f]);
     }
     DCN_ASSERT(step < kInfinity);
 
     // A fault before the next completion preempts it: drain to the fault
-    // instant, kill the crossing flows, and recompute with the survivors.
+    // instant and apply it; the rates stand unless it killed a live flow.
     const double fault_time = fault_cursor < fault_events.size()
                                   ? fault_events[fault_cursor].time
                                   : kInfinity;
     if (fault_time < now + step) {
       const double partial = std::max(0.0, fault_time - now);
       for (std::size_t f = 0; f < routes.size(); ++f) {
-        if (!done[f]) remaining[f] -= rates.rates[f] * partial;
+        if (live[f]) remaining[f] -= rates[f] * partial;
       }
       now = std::max(now, fault_time);
-      if (apply_due_faults(now)) {
-        for (std::size_t f = 0; f < routes.size(); ++f) {
-          if (done[f] || !crosses_dead(routes[f])) continue;
-          done[f] = true;
-          --active;
-          ++result.killed_flows;
-        }
-      }
+      live_set_changed = apply_due_faults(now);
       continue;
     }
     now += step;
 
     for (std::size_t f = 0; f < routes.size(); ++f) {
-      if (done[f]) continue;
-      remaining[f] -= rates.rates[f] * step;
+      if (!live[f]) continue;
+      remaining[f] -= rates[f] * step;
       if (remaining[f] <= 1e-9 * bytes[f]) {
-        done[f] = true;
+        live[f] = 0;
         --active;
+        live_set_changed = true;
         result.finish_time[f] = now;
         result.makespan = std::max(result.makespan, now);
       }

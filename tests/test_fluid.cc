@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sim/failures.h"
 #include "sim/traffic.h"
 #include "topology/abccc.h"
 
@@ -85,6 +86,46 @@ TEST(FluidTest, Preconditions) {
   EXPECT_THROW(FluidCompletionTimes(g, {Route{{0, 1}}}, {}), dcn::InvalidArgument);
   EXPECT_THROW(FluidCompletionTimes(g, {Route{{0, 1}}}, {0.0}),
                dcn::InvalidArgument);
+}
+
+TEST(FluidTest, FaultsThatKillNoLiveFlowKeepTheRates) {
+  // 0 - 1 carries the flow; 2 - 3 is a spare link no route crosses.
+  Graph g = MakeSharedLink();
+  g.AddNode(NodeKind::kServer);
+  g.AddNode(NodeKind::kServer);
+  const graph::EdgeId spare = g.AddEdge(2, 3);
+  const FluidResult plain = FluidCompletionTimes(g, {Route{{0, 1}}}, {5.0});
+  FaultSchedule schedule;
+  schedule.DegradeLink(1.0, 0, 1).RestoreLink(2.0, 0).DegradeLink(3.0, 0, 1);
+  schedule.KillLink(3.5, spare).KillNode(4.0, 3);
+  const FluidResult faulted =
+      FluidCompletionTimes(g, {Route{{0, 1}}}, {5.0}, schedule);
+  EXPECT_EQ(faulted.rate_recomputations, 1);
+  EXPECT_EQ(faulted.killed_flows, 0u);
+  EXPECT_EQ(faulted.finish_time, plain.finish_time);
+  EXPECT_EQ(faulted.makespan, plain.makespan);
+}
+
+TEST(FluidTest, KillsRecomputeAtMostOncePerFlow) {
+  const topo::Abccc net{topo::AbcccParams{4, 1, 2}};
+  dcn::Rng rng{9};
+  std::vector<Route> routes;
+  std::vector<double> bytes;
+  for (const Flow& flow : PermutationTraffic(net, rng)) {
+    routes.push_back(Route{net.Route(flow.src, flow.dst)});
+    bytes.push_back(1.0 + rng.NextDouble() * 9.0);
+  }
+  FaultSchedule schedule;
+  for (int i = 0; i < 6; ++i) {
+    const double time = 0.5 * i;
+    const auto edge = static_cast<graph::EdgeId>(
+        rng.NextUint64(net.Network().EdgeCount()));
+    schedule.KillLink(time, edge).DegradeLink(time + 0.1, edge, 1);
+  }
+  const FluidResult result =
+      FluidCompletionTimes(net.Network(), routes, bytes, schedule);
+  EXPECT_GT(result.killed_flows, 0u);
+  EXPECT_LE(result.rate_recomputations, static_cast<int>(routes.size()));
 }
 
 TEST(CoflowTest, CompletionIsSlowestMember) {

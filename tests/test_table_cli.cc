@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -57,6 +58,44 @@ TEST(CliArgsTest, RejectsMalformedTokensAndValues) {
   CliArgs args{3, argv};
   EXPECT_THROW(args.GetInt("n", 0), InvalidArgument);
   EXPECT_THROW(args.GetBool("b", false), InvalidArgument);
+}
+
+TEST(CliArgsTest, NumbersMustBeWholeAndFinite) {
+  const char* argv[] = {"prog",          "--threads=2x", "--rss=7oo",
+                        "--empty=",      "--space= 4",   "--plus=+4",
+                        "--huge=99999999999999999999",   "--inf=inf",
+                        "--nan=nan",     "--overflow=1e999", "--ok=-12",
+                        "--ratio=2.5e-1"};
+  const CliArgs args{12, argv};
+  for (const char* key : {"threads", "rss", "empty", "space", "plus", "huge"}) {
+    EXPECT_THROW(args.GetInt(key, 0), InvalidArgument) << key;
+  }
+  for (const char* key :
+       {"threads", "rss", "empty", "space", "plus", "inf", "nan", "overflow"}) {
+    EXPECT_THROW(args.GetDouble(key, 0.0), InvalidArgument) << key;
+  }
+  EXPECT_EQ(args.GetInt("ok", 0), -12);
+  EXPECT_DOUBLE_EQ(args.GetDouble("ok", 0.0), -12.0);
+  EXPECT_DOUBLE_EQ(args.GetDouble("ratio", 0.0), 0.25);
+  EXPECT_THROW(args.GetInt("ratio", 0), InvalidArgument);
+  try {
+    args.GetInt("threads", 0);
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--threads"), std::string::npos);
+    EXPECT_NE(std::string{e.what()}.find("2x"), std::string::npos);
+  }
+}
+
+TEST(CliArgsTest, KeyGivenTwiceIsRejected) {
+  const char* twice[] = {"prog", "--threads=2", "--threads=4"};
+  EXPECT_THROW((CliArgs{3, twice}), InvalidArgument);
+  const char* flag_twice[] = {"prog", "--smoke", "--smoke"};
+  EXPECT_THROW((CliArgs{3, flag_twice}), InvalidArgument);
+  try {
+    CliArgs{3, twice};
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--threads"), std::string::npos);
+  }
 }
 
 }  // namespace
