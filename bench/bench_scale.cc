@@ -16,7 +16,6 @@
 //                    only; asserts connectivity and diameter <= the routing
 //                    bound. CI runs this under `ulimit -v` (see ci.yml) that
 //                    the materialized path could not survive.
-//   --json           machine-readable rows for scripts/bench_json.sh.
 //   --max-rss-mb N   fail (exit 1) if peak RSS exceeds N MB (0 = off).
 //   --sources/--pairs  sampled cross-check shape (default 64 x 32).
 #include <sys/resource.h>
@@ -61,7 +60,6 @@ struct ScaleRow {
   double stretch = 0.0;
   double net_usd_per_server = 0.0;
   double exact_ms = 0.0;
-  double ns_per_op = 0.0;  // exact-sweep wall time / server count
   double peak_rss_mb = 0.0;
 };
 
@@ -72,7 +70,6 @@ int main(int argc, char** argv) {
   const bench::ExperimentEnv env{argc, argv};
   const CliArgs& args = env.Args();
   const bool smoke = args.Has("smoke");
-  const bool json = args.Has("json");
   const auto sources = static_cast<std::size_t>(args.GetInt("sources", 64));
   const auto pairs = static_cast<std::size_t>(args.GetInt("pairs", 32));
   const double max_rss_mb = args.GetDouble("max-rss-mb", 0.0);
@@ -88,12 +85,9 @@ int main(int argc, char** argv) {
     cubes.push_back(topo::ImplicitCube::MakeBccc(16, 4));      // 5.2M
   }
 
-  if (!json) {
-    bench::PrintHeader("S1", smoke
-                                 ? "implicit-cube scale smoke (memory-bounded)"
+  bench::PrintHeader("S1", smoke ? "implicit-cube scale smoke (memory-bounded)"
                                  : "million-server tables without materialized "
                                    "edge lists");
-  }
 
   std::vector<ScaleRow> rows;
   bool ok = true;
@@ -111,8 +105,6 @@ int main(int argc, char** argv) {
     row.exact_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - exact_start)
             .count();
-    row.ns_per_op =
-        row.exact_ms * 1e6 / static_cast<double>(cube.ServerCount());
     row.diameter = exact.diameter;
     row.radius = exact.radius;
     row.aspl = exact.average;
@@ -154,26 +146,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: peak RSS %.0f MB exceeds --max-rss-mb %.0f\n",
                  peak, max_rss_mb);
     ok = false;
-  }
-
-  if (json) {
-    std::printf("[\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const ScaleRow& r = rows[i];
-      std::printf(
-          "{\"name\": \"%s\", \"servers\": %llu, \"switches\": %llu, "
-          "\"links\": %llu, \"diameter\": %d, \"radius\": %d, "
-          "\"aspl\": %.6f, \"sampled_aspl\": %.4f, \"stretch\": %.4f, "
-          "\"net_usd_per_server\": %.2f, \"exact_ms\": %.1f, "
-          "\"ns_per_op\": %.1f, \"peak_rss_mb\": %.1f}%s\n",
-          r.name.c_str(), static_cast<unsigned long long>(r.servers),
-          static_cast<unsigned long long>(r.switches),
-          static_cast<unsigned long long>(r.links), r.diameter, r.radius,
-          r.aspl, r.sampled_aspl, r.stretch, r.net_usd_per_server, r.exact_ms,
-          r.ns_per_op, r.peak_rss_mb, i + 1 < rows.size() ? "," : "");
-    }
-    std::printf("]\n");
-    return ok ? 0 : 1;
   }
 
   Table table{{"topology", "servers", "switches", "links", "ports/srv",

@@ -4,27 +4,16 @@
 # oversubscribed thread count so scheduling interleavings vary; the
 # determinism suites then prove results are still bit-identical. The Release
 # build also re-runs every deterministic bench against results/
-# (scripts/check_tables.sh).
+# (scripts/check_tables.sh) and smoke-tests the end-to-end benchmark
+# (perfbench/smoke_test.py), the one place speed is measured and gated.
 #
-# With --bench, additionally re-runs the fixed micro-kernel set (bench_micro
-# --json) and compares ns/op against the committed BENCH_core.json reference.
-# Kernels slower than BENCH_TOLERANCE (default 2.0x — the reference numbers
-# are machine-relative) produce a warning, never a failure.
-#
-# Usage: scripts/check.sh [--bench] [extra ctest args...]
+# Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
-BENCH=0
-CTEST_ARGS=()
-for arg in "$@"; do
-  case "$arg" in
-    --bench) BENCH=1 ;;
-    *) CTEST_ARGS+=("$arg") ;;
-  esac
-done
+CTEST_ARGS=("$@")
 
 echo "== Release build + tests =="
 cmake --preset release
@@ -36,13 +25,16 @@ echo "== Table byte-identity gate =="
 scripts/check_tables.sh build
 
 echo
+echo "== End-to-end benchmark smoke test =="
+python3 perfbench/smoke_test.py
+
+echo
 echo "== Traced benchmarks + Chrome trace schema check =="
 # A packet-level and an MS-BFS-heavy run with --trace-out: the traces must be
 # valid Chrome trace JSON, show named sim/kernel spans, and (for the scaling
 # bench, whose 2500-server sweep spans dozens of chunks) per-thread pool
 # lanes. scripts/validate_trace.py asserts all three; stdout is discarded —
-# determinism is ctest's job, and --min-speedup=0 keeps this smoke run from
-# double-reporting perf (check.sh --bench owns that).
+# determinism is ctest's job, and speed is perfbench's.
 ./build/bench/bench_f9_packet_latency --threads=4 \
   --trace-out=build/trace_f9.json > /dev/null
 python3 scripts/validate_trace.py build/trace_f9.json \
@@ -89,7 +81,7 @@ python3 scripts/validate_stats.py build/f23_stats.json \
   --expect-sketch fluid/fct --expect-counter fluid/rate_recomputations \
   --expect-counter flowsim/calls --expect-counter flowsim/bottleneck_rounds
 ./build/bench/bench_parallel_scaling --repeats=1 --threads-max=4 \
-  --min-speedup=0 --trace-out=build/trace_scaling.json > /dev/null
+  --trace-out=build/trace_scaling.json > /dev/null
 python3 scripts/validate_trace.py build/trace_scaling.json \
   --expect-span msbfs/batch --expect-span parallel/chunk \
   --expect-thread pool-worker-0
@@ -107,37 +99,6 @@ python3 scripts/validate_stats.py build/f24_stats.json \
   --expect-counter monitor/runs --expect-counter monitor/alerts_fired \
   --expect-fired
 python3 scripts/validate_trace.py build/trace_f24.json --expect-alert
-
-if [ "$BENCH" -eq 1 ]; then
-  echo
-  echo "== Perf regression check vs BENCH_core.json (warn-only) =="
-  extract_micro() {
-    grep -o '"name": "[^"]*", "ns_per_op": [0-9]*' "$1" \
-      | sed 's/"name": "//; s/", "ns_per_op": / /'
-  }
-  ./build/bench/bench_micro --json > build/bench_micro_fresh.json
-  extract_micro BENCH_core.json > build/bench_ref.txt
-  extract_micro build/bench_micro_fresh.json > build/bench_fresh.txt
-  awk -v tol="${BENCH_TOLERANCE:-2.0}" '
-    NR == FNR { ref[$1] = $2; next }
-    { fresh[$1] = $2 }
-    END {
-      warned = 0
-      for (k in ref) {
-        if (!(k in fresh)) {
-          printf "warning: kernel %s missing from fresh run\n", k; warned = 1
-          continue
-        }
-        r = fresh[k] / ref[k]
-        if (r > tol) {
-          printf "warning: %s is %.2fx slower than BENCH_core.json (%d vs %d ns/op)\n", \
-                 k, r, fresh[k], ref[k]
-          warned = 1
-        }
-      }
-      if (!warned) print "bench: all kernels within tolerance of BENCH_core.json"
-    }' build/bench_ref.txt build/bench_fresh.txt
-fi
 
 echo
 echo "== ThreadSanitizer build + tests =="

@@ -1,11 +1,14 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "common/cli.h"
@@ -23,15 +26,23 @@ int HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+// DCN_THREADS, or 0 when unset or empty. The whole value must be one
+// integer in [1, kMaxThreads] under CliArgs::GetInt's std::from_chars rules:
+// no sign, no whitespace, no trailing characters, nothing out of int range.
 int EnvThreads() {
   const char* env = std::getenv("DCN_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed < 1) {
-    throw InvalidArgument{std::string{"DCN_THREADS must be a positive integer, got: "} + env};
+  const std::string_view text{env};
+  int parsed = 0;
+  const auto [stop, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc{} || stop != text.data() + text.size() || parsed < 1 ||
+      parsed > kMaxThreads) {
+    throw InvalidArgument{"DCN_THREADS must be an integer in [1, " +
+                          std::to_string(kMaxThreads) + "], got: '" +
+                          std::string{text} + "'"};
   }
-  return static_cast<int>(parsed);
+  return parsed;
 }
 
 std::atomic<int> g_thread_override{0};  // 0 = automatic (env, then hardware)
@@ -187,8 +198,13 @@ void SetThreadCount(int threads) {
 
 void ConfigureThreads(const CliArgs& args) {
   const std::int64_t threads = args.GetInt("threads", 0);
-  DCN_REQUIRE(threads >= 0, "--threads must be >= 0 (0 = automatic)");
-  SetThreadCount(static_cast<int>(threads));
+  DCN_REQUIRE(threads >= 0 && threads <= kMaxThreads,
+              "--threads must be in [0, " + std::to_string(kMaxThreads) +
+                  "] (0 = automatic)");
+  // DCN_THREADS is resolved here, once, and validated even when --threads
+  // wins, so a malformed value fails at start-up in every binary.
+  const int env = EnvThreads();
+  SetThreadCount(threads > 0 ? static_cast<int>(threads) : env);
 }
 
 bool InParallelRegion() { return tl_in_parallel; }

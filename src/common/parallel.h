@@ -15,6 +15,7 @@
 //
 // Thread count resolution: SetThreadCount() (tests, CLI --threads) wins,
 // else the DCN_THREADS environment variable, else hardware_concurrency.
+// ConfigureThreads() resolves --threads and DCN_THREADS once at start-up.
 // A count of 1 bypasses the pool entirely. Nested ParallelFor calls from
 // inside a worker run serially inline (safe, never deadlocks).
 #pragma once
@@ -35,6 +36,10 @@ namespace dcn {
 
 class CliArgs;
 
+// Largest count --threads or DCN_THREADS may ask for; a larger value is
+// rejected when parsed instead of being handed to the pool as OS threads.
+inline constexpr int kMaxThreads = 1024;
+
 // Effective worker count for the next parallel region (always >= 1).
 int ThreadCount();
 
@@ -43,7 +48,10 @@ int ThreadCount();
 // inside a parallel region. The pool is resized lazily on next use.
 void SetThreadCount(int threads);
 
-// Applies a `--threads=N` flag if present (0 or absent = automatic).
+// Applies a `--threads=N` flag if present (0 or absent = automatic), else a
+// DCN_THREADS value. Both are parsed and validated here: an out-of-range
+// --threads or a malformed DCN_THREADS (even one --threads overrides) throws
+// InvalidArgument.
 void ConfigureThreads(const CliArgs& args);
 
 // True while the calling thread is executing inside a parallel region;

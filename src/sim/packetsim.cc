@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <queue>
 #include <string>
@@ -32,9 +31,53 @@ struct Packet {
   // Flight-recorder record index; kNotSampled (the overwhelmingly common
   // case) when this packet's lifecycle is not being captured. Lives in what
   // was padding, so the pool's layout is unchanged. Used by the serial
-  // engines only; the sharded engine resolves records at replay time.
+  // engine only; the sharded engine resolves records at replay time.
   std::uint32_t rec = flight::Recorder::kNotSampled;
   bool measured = false;
+};
+
+// Per-directed-link FIFO output queues, capacity-bounded: one contiguous
+// slab of queue_capacity slots per link plus flat head/size/transmitted
+// arrays. No allocation after construction and no pointer chasing in the
+// depart hot path.
+class RingLinkStore {
+ public:
+  RingLinkStore(std::size_t links, int capacity)
+      : capacity_(static_cast<std::size_t>(capacity)),
+        slots_(links * capacity_),
+        head_(links, 0),
+        size_(links, 0),
+        transmitted_(links, 0) {}
+
+  int Size(std::size_t link) const { return static_cast<int>(size_[link]); }
+  bool Empty(std::size_t link) const { return size_[link] == 0; }
+  // Packet at the queue head (in service). Link must be non-empty.
+  std::uint32_t Front(std::size_t link) const {
+    return slots_[link * capacity_ + head_[link]];
+  }
+  std::uint64_t Transmitted(std::size_t link) const {
+    return transmitted_[link];
+  }
+  void Push(std::size_t link, std::uint32_t packet) {
+    std::size_t slot = head_[link] + size_[link];
+    if (slot >= capacity_) slot -= capacity_;
+    slots_[link * capacity_ + slot] = packet;
+    ++size_[link];
+  }
+  std::uint32_t PopFront(std::size_t link) {
+    const std::uint32_t packet = slots_[link * capacity_ + head_[link]];
+    if (++head_[link] == capacity_) head_[link] = 0;
+    --size_[link];
+    ++transmitted_[link];
+    return packet;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::uint32_t> head_;
+  std::vector<std::uint32_t> size_;
+  std::vector<std::uint64_t> transmitted_;
 };
 
 // ---------------------------------------------------------------------------
@@ -91,7 +134,7 @@ RoutePlan FlattenRoutes(const graph::Graph& graph,
 // precomputed serially. A mini-heap over sources replays the exact order the
 // serial event loop pops generate events in ((time, key) with one pending
 // generate per source), so the shared RNG stream is consumed draw-for-draw
-// identically and the schedule is byte-identical to the serial engines'.
+// identically and the schedule is byte-identical to the serial engine's.
 
 struct Injection {
   double time = 0.0;
@@ -164,10 +207,9 @@ void AddDeliveryTelemetry(PacketTelemetry& telemetry, double latency,
 }
 
 // Post-run per-element summaries from the exact transmit / delivery counts —
-// pure functions of state both engine families agree on byte-for-byte.
-template <typename LinkStore>
+// pure functions of state both engines agree on byte-for-byte.
 void FinalizeTelemetry(PacketTelemetry& telemetry, const graph::CsrView& csr,
-                       std::size_t link_count, const LinkStore& links,
+                       std::size_t link_count, const RingLinkStore& links,
                        const std::vector<std::uint64_t>& flow_delivered) {
   for (std::size_t link = 0; link < link_count; ++link) {
     const std::uint64_t tx = links.Transmitted(link);
@@ -247,7 +289,7 @@ std::function<std::string(std::uint64_t)> LaneNamer(const graph::CsrView& csr) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial engines.
+// Serial engine: the reference event loop, and the team-of-one path.
 
 enum class EventKind : std::uint8_t { kGenerate, kDepart };
 
@@ -287,88 +329,6 @@ class BinaryEventQueue {
   std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
 };
 
-// Per-directed-link FIFO output queues, capacity-bounded. Two layouts with
-// identical FIFO semantics (so results are bit-identical either way):
-//
-// RingLinkStore — one contiguous slab of queue_capacity slots per link plus
-// flat head/size/transmitted arrays. No allocation after construction and no
-// pointer chasing in the depart hot path.
-class RingLinkStore {
- public:
-  RingLinkStore(std::size_t links, int capacity)
-      : capacity_(static_cast<std::size_t>(capacity)),
-        slots_(links * capacity_),
-        head_(links, 0),
-        size_(links, 0),
-        transmitted_(links, 0) {}
-
-  int Size(std::size_t link) const { return static_cast<int>(size_[link]); }
-  bool Empty(std::size_t link) const { return size_[link] == 0; }
-  // Packet at the queue head (in service). Link must be non-empty.
-  std::uint32_t Front(std::size_t link) const {
-    return slots_[link * capacity_ + head_[link]];
-  }
-  std::uint64_t Transmitted(std::size_t link) const {
-    return transmitted_[link];
-  }
-  void Push(std::size_t link, std::uint32_t packet) {
-    std::size_t slot = head_[link] + size_[link];
-    if (slot >= capacity_) slot -= capacity_;
-    slots_[link * capacity_ + slot] = packet;
-    ++size_[link];
-  }
-  std::uint32_t PopFront(std::size_t link) {
-    const std::uint32_t packet = slots_[link * capacity_ + head_[link]];
-    if (++head_[link] == capacity_) head_[link] = 0;
-    --size_[link];
-    ++transmitted_[link];
-    return packet;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> size_;
-  std::vector<std::uint64_t> transmitted_;
-};
-
-// DequeLinkStore — the vector-of-deques layout the simulator used before the
-// ring store; retained as the in-process baseline for bench_micro.
-class DequeLinkStore {
- public:
-  DequeLinkStore(std::size_t links, int /*capacity*/) : links_(links) {}
-
-  int Size(std::size_t link) const {
-    return static_cast<int>(links_[link].packets.size());
-  }
-  bool Empty(std::size_t link) const { return links_[link].packets.empty(); }
-  std::uint32_t Front(std::size_t link) const {
-    return links_[link].packets.front();
-  }
-  std::uint64_t Transmitted(std::size_t link) const {
-    return links_[link].transmitted;
-  }
-  void Push(std::size_t link, std::uint32_t packet) {
-    links_[link].packets.push_back(packet);
-  }
-  std::uint32_t PopFront(std::size_t link) {
-    LinkQueue& q = links_[link];
-    const std::uint32_t packet = q.packets.front();
-    q.packets.pop_front();
-    ++q.transmitted;
-    return packet;
-  }
-
- private:
-  struct LinkQueue {
-    std::deque<std::uint32_t> packets;  // front is in service
-    std::uint64_t transmitted = 0;
-  };
-  std::vector<LinkQueue> links_;
-};
-
-template <typename LinkStore>
 PacketSimResult RunPacketSimSerialImpl(
     const graph::Graph& graph,
     const std::vector<std::vector<routing::Route>>& candidates,
@@ -377,7 +337,7 @@ PacketSimResult RunPacketSimSerialImpl(
   std::vector<std::size_t> next_candidate(candidates.size(), 0);
 
   const std::size_t link_count = graph.EdgeCount() * 2;
-  LinkStore links(link_count, config.queue_capacity);
+  RingLinkStore links(link_count, config.queue_capacity);
   std::vector<Packet> pool;
   BinaryEventQueue events;
   Rng rng{config.seed};
@@ -581,7 +541,7 @@ PacketSimResult RunPacketSimSerialImpl(
 // Every cross-member merge happens in (time, key) order with the packet id as
 // a final stable tie-break, never in execution order, so the result is
 // byte-identical for any team size — including 1, which is also byte-identical
-// to the serial engines above because they pop the very same (time, key)
+// to the serial engine above because it pops the very same (time, key)
 // order.
 
 constexpr std::uint8_t kDepartEvent = 0;   // head of `link` finished service
@@ -1147,8 +1107,7 @@ PacketSimResult RunPacketSimMultipath(
   // dispatch to the plain event loop — byte-identical by the determinism
   // contract (packetsim.h), and a single-core host pays no shard overhead.
   if (TeamSize() == 1) {
-    return RunPacketSimSerialImpl<RingLinkStore>(graph, candidates, config,
-                                                 policy);
+    return RunPacketSimSerialImpl(graph, candidates, config, policy);
   }
   return RunPacketSimMultipathSharded(graph, candidates, config, policy);
 }
@@ -1163,8 +1122,7 @@ PacketSimResult RunPacketSimMultipathSerial(
     const graph::Graph& graph,
     const std::vector<std::vector<routing::Route>>& candidates,
     const PacketSimConfig& config, SprayPolicy policy) {
-  return RunPacketSimSerialImpl<RingLinkStore>(graph, candidates, config,
-                                               policy);
+  return RunPacketSimSerialImpl(graph, candidates, config, policy);
 }
 
 PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
@@ -1172,13 +1130,6 @@ PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
                                    const PacketSimConfig& config) {
   return RunPacketSimMultipathSerial(graph, SingletonCandidates(routes),
                                      config);
-}
-
-PacketSimResult RunPacketSimLegacyBaseline(
-    const graph::Graph& graph, const std::vector<routing::Route>& routes,
-    const PacketSimConfig& config) {
-  return RunPacketSimSerialImpl<DequeLinkStore>(
-      graph, SingletonCandidates(routes), config, SprayPolicy::kRoundRobin);
 }
 
 }  // namespace dcn::sim

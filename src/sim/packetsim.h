@@ -18,8 +18,7 @@
 // chains synchronize), which is why the contract is spelled out: every entry
 // point below pops the identical (time, key) total order, so RunPacketSim
 // (sharded, conservative-lookahead windows of one service time between
-// barriers), RunPacketSimSerial (reference event loop), and
-// RunPacketSimLegacyBaseline (deque-store event loop) are all byte-identical
+// barriers) and RunPacketSimSerial (reference event loop) are byte-identical
 // to each other at any DCN_THREADS setting, with the flight recorder on or
 // off.
 #pragma once
@@ -65,9 +64,8 @@ struct PacketSimConfig {
 // engine's delivery order (their integer bucket merges are commutative
 // anyway), the per-element summaries from the exact post-run per-link
 // transmit and per-route delivery counts. Byte-identical across
-// RunPacketSim / RunPacketSimSerial / RunPacketSimLegacyBaseline and at any
-// DCN_THREADS, with or without any flight-recorder flag. O(buckets + K)
-// export however much traffic ran.
+// RunPacketSim / RunPacketSimSerial and at any DCN_THREADS, with or without
+// any flight-recorder flag. O(buckets + K) export however much traffic ran.
 struct PacketTelemetry {
   static constexpr std::size_t kTopK = 16;
   obs::QuantileSketch latency;   // end-to-end, measured delivered packets
@@ -141,8 +139,10 @@ PacketSimResult RunPacketSimMultipath(
     SprayPolicy policy = SprayPolicy::kRoundRobin);
 
 // Single-threaded reference event loop (one binary heap popping the
-// documented (time, key) order). The differential suite in
-// tests/test_packetsim_parallel.cc pins RunPacketSim to this bit-for-bit.
+// documented (time, key) order); RunPacketSim runs it for a team of one. The
+// differential suite in tests/test_packetsim_parallel.cc pins RunPacketSim
+// to this bit-for-bit and holds both to an independent FIFO oracle over the
+// recorded per-hop timestamps.
 PacketSimResult RunPacketSimSerial(const graph::Graph& graph,
                                    const std::vector<routing::Route>& routes,
                                    const PacketSimConfig& config = {});
@@ -151,16 +151,5 @@ PacketSimResult RunPacketSimMultipathSerial(
     const std::vector<std::vector<routing::Route>>& candidates,
     const PacketSimConfig& config = {},
     SprayPolicy policy = SprayPolicy::kRoundRobin);
-
-// The serial reference driven by the vector-of-deques per-link FIFO storage
-// the simulator used before the flat ring-buffer link store. Both layouts
-// keep identical FIFO semantics and pop the identical (time, key) total
-// order, so the result is bit-identical to RunPacketSim — retained as the
-// in-process baseline for bench_micro's packetsim entry, the
-// bench_parallel_scaling reference anchor, and the equivalence test in
-// tests/test_packetsim.cc.
-PacketSimResult RunPacketSimLegacyBaseline(
-    const graph::Graph& graph, const std::vector<routing::Route>& routes,
-    const PacketSimConfig& config = {});
 
 }  // namespace dcn::sim

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "graph/bfs.h"
 #include "metrics/resilience.h"
+#include "reference.h"
 #include "topology/factory.h"
 
 namespace dcn {
@@ -172,65 +173,7 @@ TEST_P(ComponentFamilies, RepairMatchesFullLabelingPerSwitchKill) {
 INSTANTIATE_TEST_SUITE_P(Families, ComponentFamilies,
                          ::testing::ValuesIn(topo::SupportedSpecs()));
 
-// --- Byte-identity of the metrics against the retained BFS reference ------
-
-// The per-source-BFS implementation PairDisconnectionFraction used before
-// the component engine, drawing from the identical Rng::Fork streams.
-double ReferencePairDisconnection(const topo::Topology& net,
-                                  const graph::FailureSet& failures,
-                                  std::size_t sample_pairs, Rng& rng) {
-  const graph::CsrView& csr = net.Network().Csr();
-  std::vector<graph::NodeId> alive;
-  for (std::size_t i = 0; i < csr.ServerCount(); ++i) {
-    const graph::NodeId server = csr.ServerIdAt(i);
-    if (!failures.NodeDead(server)) alive.push_back(server);
-  }
-  if (alive.size() < 2) return 0.0;
-  const std::size_t sources = std::min<std::size_t>(
-      alive.size(), std::max<std::size_t>(1, sample_pairs / 16));
-  const std::size_t pairs_per_source = (sample_pairs + sources - 1) / sources;
-  const Rng base = rng.Fork();
-  std::size_t disconnected = 0;
-  std::size_t measured = 0;
-  graph::TraversalScope ws;
-  for (std::size_t s = 0; s < sources; ++s) {
-    Rng trial_rng = base.Fork(s);
-    const graph::NodeId src = alive[trial_rng.NextUint64(alive.size())];
-    graph::BfsDistances(csr, src, *ws, &failures);
-    for (std::size_t p = 0; p < pairs_per_source; ++p) {
-      graph::NodeId dst = src;
-      while (dst == src) dst = alive[trial_rng.NextUint64(alive.size())];
-      ++measured;
-      if (!ws->Visited(dst)) ++disconnected;
-    }
-  }
-  return static_cast<double>(disconnected) / static_cast<double>(measured);
-}
-
-double ReferenceWorstSingleSwitch(const topo::Topology& net,
-                                  std::size_t sample_pairs,
-                                  std::size_t sample_switches, Rng& rng) {
-  const graph::Graph& g = net.Network();
-  std::vector<graph::NodeId> switches;
-  for (graph::NodeId node = 0; static_cast<std::size_t>(node) < g.NodeCount();
-       ++node) {
-    if (g.IsSwitch(node)) switches.push_back(node);
-  }
-  if (sample_switches > 0 && sample_switches < switches.size()) {
-    rng.Shuffle(switches);
-    switches.resize(sample_switches);
-  }
-  const Rng base = rng.Fork();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < switches.size(); ++i) {
-    graph::FailureSet failures{g};
-    failures.KillNode(switches[i]);
-    Rng pair_rng = base.Fork(i);
-    worst = std::max(
-        worst, ReferencePairDisconnection(net, failures, sample_pairs, pair_rng));
-  }
-  return worst;
-}
+// --- Byte-identity of the metrics against tests/reference.h --------------
 
 TEST(ResilienceBitIdentityTest, PairDisconnectionMatchesBfsReference) {
   const auto net = topo::MakeTopology("abccc:n=3,k=1,c=2");

@@ -4,8 +4,8 @@
 // must produce results bit-identical to the adjacency-list Graph it
 // snapshots. This suite checks the mirror on the paper topologies plus
 // random graphs, and cross-checks the allocation-free BFS/Dinic against
-// straightforward reference implementations (the pre-CSR algorithms),
-// with and without failures.
+// straightforward reference implementations (the pre-CSR algorithms; the
+// shared ones live in tests/reference.h), with and without failures.
 #include "graph/csr.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "graph/maxflow.h"
 #include "graph/paths.h"
 #include "graph/workspace.h"
+#include "reference.h"
 #include "topology/abccc.h"
 #include "topology/bcube.h"
 #include "topology/dcell.h"
@@ -77,29 +78,6 @@ FailureSet RandomFailures(const Graph& g, Rng& rng) {
     if (rng.NextBernoulli(0.08)) failures.KillEdge(edge);
   }
   return failures;
-}
-
-// Reference BFS: the straightforward adjacency-list version with a fresh
-// O(V) distance array — exactly what the hot paths ran before the CSR
-// refactor.
-std::vector<int> ReferenceBfs(const Graph& g, NodeId src,
-                              const FailureSet* failures) {
-  std::vector<int> dist(g.NodeCount(), kUnreachable);
-  if (failures != nullptr && failures->NodeDead(src)) return dist;
-  std::deque<NodeId> queue{src};
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!queue.empty()) {
-    const NodeId node = queue.front();
-    queue.pop_front();
-    for (const HalfEdge& half : g.Neighbors(node)) {
-      if (failures != nullptr && !failures->HalfEdgeUsable(half)) continue;
-      if (dist[static_cast<std::size_t>(half.to)] != kUnreachable) continue;
-      dist[static_cast<std::size_t>(half.to)] =
-          dist[static_cast<std::size_t>(node)] + 1;
-      queue.push_back(half.to);
-    }
-  }
-  return dist;
 }
 
 // Reference shortest path: full BFS sweep (no early exit), then a parent

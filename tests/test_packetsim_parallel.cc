@@ -6,13 +6,16 @@
 // failure sets, and adversarial same-timestamp workloads. Simultaneous
 // events are common here (service completions are birth times plus integer
 // service counts), so these tests exercise the documented (time, key, kind,
-// id) tie-break order for real, not as a corner case.
+// id) tie-break order for real, not as a corner case. Both engines are also
+// held to an independent FIFO oracle that reads only the recorded per-hop
+// timestamps, so a queue bug the two engines shared would still fail.
 #include "sim/packetsim.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -157,6 +160,96 @@ void ExpectSameObs(const ObsReadout& a, const ObsReadout& b) {
   EXPECT_EQ(a.hops_sum, b.hops_sum);
 }
 
+// Independent FIFO oracle for the per-link output queues. It reads only the
+// flight recorder's per-hop timestamps (every packet sampled) and checks
+// each directed link against the queue discipline itself: unit service, one
+// packet in service at a time, first in first out, work-conserving, and
+// drop-tail at queue_capacity. It shares no code with the link stores.
+struct FifoAudit {
+  std::size_t hops = 0;   // accepted hops
+  std::size_t drops = 0;
+  std::size_t links = 0;  // directed links that saw a packet
+  std::size_t violations = 0;
+  std::string first;      // the first violation, for the failure message
+};
+
+FifoAudit AuditLinkQueues(const flight::RunSnapshot& run, int capacity) {
+  struct LinkLog {
+    std::vector<flight::HopRecord> accepted;
+    std::vector<double> drops;
+  };
+  std::map<std::uint64_t, LinkLog> logs;
+  for (const flight::PacketRecord& packet : run.packets) {
+    for (const flight::HopRecord& hop : packet.hops) {
+      LinkLog& log = logs[hop.link];
+      if (hop.dropped) {
+        log.drops.push_back(hop.enqueue);
+      } else {
+        log.accepted.push_back(hop);
+      }
+    }
+  }
+  FifoAudit audit;
+  for (auto& [link, log] : logs) {
+    const auto flag = [&](const char* what, double t) {
+      if (audit.violations++ == 0) {
+        audit.first = "link " + std::to_string(link) + " at t=" +
+                      std::to_string(t) + ": " + what;
+      }
+    };
+    std::vector<flight::HopRecord>& hops = log.accepted;
+    std::sort(hops.begin(), hops.end(),
+              [](const flight::HopRecord& a, const flight::HopRecord& b) {
+                return a.start < b.start;
+              });
+    std::vector<double> enqueues;
+    std::vector<double> departs;
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      const flight::HopRecord& hop = hops[i];
+      if (hop.depart != hop.start + 1.0) {
+        flag("service is not one time unit", hop.start);
+      }
+      double ready = hop.enqueue;
+      if (i > 0) {
+        const flight::HopRecord& prev = hops[i - 1];
+        if (hop.start < prev.depart) flag("service intervals overlap", hop.start);
+        if (hop.enqueue < prev.enqueue) flag("served out of FIFO order", hop.start);
+        ready = std::max(ready, prev.depart);
+      }
+      if (hop.start != ready) flag("not work-conserving", hop.start);
+      enqueues.push_back(hop.enqueue);
+      departs.push_back(hop.depart);
+    }
+    std::sort(enqueues.begin(), enqueues.end());
+    std::sort(departs.begin(), departs.end());
+    // Accepted hops holding a slot at time t: enqueue <= t < depart. A hop
+    // that departs exactly at t may still hold its slot at a same-instant
+    // event (one instant's events run in key order), so the drop check also
+    // counts depart == t and the acceptance check does not.
+    const auto queued = [&](double t, bool with_departing) {
+      const auto joined =
+          std::upper_bound(enqueues.begin(), enqueues.end(), t) - enqueues.begin();
+      const auto left =
+          (with_departing ? std::lower_bound(departs.begin(), departs.end(), t)
+                          : std::upper_bound(departs.begin(), departs.end(), t)) -
+          departs.begin();
+      return joined - left;
+    };
+    for (const flight::HopRecord& hop : hops) {
+      if (queued(hop.enqueue, false) > capacity) {
+        flag("accepted into a full queue", hop.enqueue);
+      }
+    }
+    for (const double t : log.drops) {
+      if (queued(t, true) < capacity) flag("dropped with room in the queue", t);
+    }
+    audit.hops += hops.size();
+    audit.drops += log.drops.size();
+    ++audit.links;
+  }
+  return audit;
+}
+
 TEST_F(PacketSimParallelTest, AllFamiliesMatchSerialReferenceAtEveryThreadCount) {
   PacketSimConfig config;
   config.offered_load = 0.7;  // congested: simultaneous timestamps abound
@@ -173,10 +266,6 @@ TEST_F(PacketSimParallelTest, AllFamiliesMatchSerialReferenceAtEveryThreadCount)
     const PacketSimResult serial =
         RunPacketSimSerial(net->Network(), routes, config);
     const ObsReadout serial_obs = TakeObsReadout();
-    // The deque-store legacy baseline pops the same (time, key) order.
-    const PacketSimResult legacy =
-        RunPacketSimLegacyBaseline(net->Network(), routes, config);
-    ExpectSameResult(legacy, serial);
 
     for (int threads : {1, 3, 7}) {
       SCOPED_TRACE(threads);
@@ -249,6 +338,43 @@ TEST_F(PacketSimParallelTest, RecorderOnStaysByteIdenticalAndNonPerturbing) {
       }
     }
     EXPECT_EQ(runs[0].lanes, serial_runs[0].lanes);
+  }
+}
+
+TEST_F(PacketSimParallelTest, LinkQueuesPassIndependentFifoOracle) {
+  PacketSimConfig config;
+  config.offered_load = 0.7;  // congested enough to fill queues and drop
+  config.duration = 300;
+  config.warmup = 50;
+  config.queue_capacity = 4;
+  const std::unique_ptr<topo::Topology> net =
+      topo::MakeTopology("abccc:n=3,k=1,c=2");
+  const std::vector<Route> routes = PermutationRoutes(*net, 20260806);
+  flight::Config fc;
+  fc.sample_rate = 1.0;
+  flight::Enable(fc);
+
+  const auto audit = [&](const PacketSimResult& result) {
+    const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+    ASSERT_EQ(runs.size(), 1u);
+    ASSERT_EQ(runs[0].sampling_skipped, 0u);
+    ASSERT_EQ(runs[0].packets.size(), result.generated);
+    const FifoAudit fifo = AuditLinkQueues(runs[0], config.queue_capacity);
+    EXPECT_EQ(fifo.violations, 0u) << fifo.first;
+    // Not vacuous: many links, thousands of hops, and the drop-tail rule hit.
+    EXPECT_GT(fifo.links, 30u);
+    EXPECT_GT(fifo.hops, 10000u);
+    EXPECT_GT(fifo.drops, 1000u);
+  };
+
+  SetThreadCount(1);
+  obs::Reset();
+  audit(RunPacketSimSerial(net->Network(), routes, config));
+  for (int threads : {1, 3, 7}) {
+    SCOPED_TRACE(threads);
+    SetThreadCount(threads);
+    obs::Reset();
+    audit(RunPacketSim(net->Network(), routes, config));
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,10 +126,19 @@ TEST_F(ParallelTest, EnvVariableControlsAutomaticCount) {
   EXPECT_EQ(ThreadCount(), 5);
   SetThreadCount(0);
   EXPECT_EQ(ThreadCount(), 3);
-  setenv("DCN_THREADS", "zero", 1);
-  EXPECT_THROW(ThreadCount(), InvalidArgument);
-  setenv("DCN_THREADS", "0", 1);
-  EXPECT_THROW(ThreadCount(), InvalidArgument);
+  // The whole value must be one integer in [1, kMaxThreads], parsed like
+  // CliArgs::GetInt: no sign, whitespace or trailing characters, and nothing
+  // that would truncate when narrowed to int.
+  for (const char* bad : {"zero", "0", "-2", "4x", " 4", "4 ", "+4",
+                          "4294967297", "99999999999999999999", "1025"}) {
+    SCOPED_TRACE(bad);
+    setenv("DCN_THREADS", bad, 1);
+    EXPECT_THROW(ThreadCount(), InvalidArgument);
+  }
+  // The cap itself parses. Only parsed: no parallel region runs here, so the
+  // pool is never asked for that many threads.
+  setenv("DCN_THREADS", std::to_string(kMaxThreads).c_str(), 1);
+  EXPECT_EQ(ThreadCount(), kMaxThreads);
 }
 
 TEST_F(ParallelTest, ConfigureThreadsReadsCliFlag) {
@@ -139,8 +149,27 @@ TEST_F(ParallelTest, ConfigureThreadsReadsCliFlag) {
   setenv("DCN_THREADS", "7", 1);
   ConfigureThreads(CliArgs{2, reset});
   EXPECT_EQ(ThreadCount(), 7);  // 0 = automatic, falls back to the env var
-  const char* bad[] = {"prog", "--threads=-1"};
-  EXPECT_THROW(ConfigureThreads(CliArgs{2, bad}), InvalidArgument);
+  for (const char* bad : {"--threads=-1", "--threads=+4", "--threads=1025",
+                          "--threads=4294967297"}) {
+    SCOPED_TRACE(bad);
+    const char* bad_argv[] = {"prog", bad};
+    EXPECT_THROW(ConfigureThreads(CliArgs{2, bad_argv}), InvalidArgument);
+  }
+  // The cap parses (and is never started: no parallel region runs here).
+  const std::string cap = "--threads=" + std::to_string(kMaxThreads);
+  const char* cap_argv[] = {"prog", cap.c_str()};
+  ConfigureThreads(CliArgs{2, cap_argv});
+  EXPECT_EQ(ThreadCount(), kMaxThreads);
+  // DCN_THREADS is resolved by ConfigureThreads itself: a malformed value
+  // fails there, at start-up, even when --threads would override it.
+  setenv("DCN_THREADS", "4x", 1);
+  EXPECT_THROW(ConfigureThreads(CliArgs{2, reset}), InvalidArgument);
+  EXPECT_THROW(ConfigureThreads(CliArgs{2, argv}), InvalidArgument);
+  // Resolved once: after ConfigureThreads the count no longer reads the env.
+  setenv("DCN_THREADS", "6", 1);
+  ConfigureThreads(CliArgs{2, reset});
+  setenv("DCN_THREADS", "4x", 1);
+  EXPECT_EQ(ThreadCount(), 6);
 }
 
 TEST_F(ParallelTest, SetThreadCountRejectedInsideRegion) {

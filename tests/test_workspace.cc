@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/bfs.h"
 #include "graph/csr.h"
 #include "graph/paths.h"
+#include "reference.h"
 
 namespace dcn::graph {
 namespace {
@@ -23,23 +23,6 @@ Graph Ring(std::size_t nodes) {
     g.AddEdge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % nodes));
   }
   return g;
-}
-
-std::vector<int> ReferenceBfs(const Graph& g, NodeId src) {
-  std::vector<int> dist(g.NodeCount(), kUnreachable);
-  std::deque<NodeId> queue{src};
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!queue.empty()) {
-    const NodeId node = queue.front();
-    queue.pop_front();
-    for (const HalfEdge& half : g.Neighbors(node)) {
-      if (dist[static_cast<std::size_t>(half.to)] != kUnreachable) continue;
-      dist[static_cast<std::size_t>(half.to)] =
-          dist[static_cast<std::size_t>(node)] + 1;
-      queue.push_back(half.to);
-    }
-  }
-  return dist;
 }
 
 TEST(EpochMarksTest, EpochsIsolateThousandsOfRounds) {
