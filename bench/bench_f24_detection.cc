@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "obs/monitor.h"
+#include "obs/timeseries.h"
 #include "routing/route.h"
 #include "sim/failures.h"
 #include "sim/packetsim.h"
@@ -123,9 +124,9 @@ int main(int argc, char** argv) {
       // Recovery: mean measured deliveries per window, steady pre-fault
       // window [250, 500) vs settled post-fault tail [900, 1200).
       const auto mean_delivered = [&](double from, double to) {
-        const std::uint32_t lo = obs::monitor::WindowOf(from, width);
+        const std::uint32_t lo = obs::WindowOf(from, width);
         const std::uint32_t hi = std::min<std::uint32_t>(
-            obs::monitor::WindowOf(to, width),
+            obs::WindowOf(to, width),
             static_cast<std::uint32_t>(
                 faulted.monitor.delivered_per_window.size()));
         double sum = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 
 #include "common/error.h"
 #include "common/table.h"
+#include "obs/export.h"
 #include "obs/obs.h"
 
 namespace dcn::obs::flight {
@@ -89,8 +89,8 @@ Recorder::Recorder(int run, std::string sim, double duration,
   series_prefix_ = "run" + std::to_string(run_) + "/" + sim_;
   if ((sampling_ || timeseries_) && link_count > 0) {
     lane_names_.resize(link_count);
-    tx_series_.assign(link_count, nullptr);
-    depth_series_.assign(link_count, nullptr);
+    tx_series_.assign(link_count, 0);
+    depth_series_.assign(link_count, 0);
   }
 }
 
@@ -103,16 +103,22 @@ const std::string& Recorder::LaneName(std::uint64_t link) {
   return name;
 }
 
-obs::TimeSeries& Recorder::Series(std::vector<obs::TimeSeries*>& cache,
-                                  std::uint64_t link, const char* metric,
-                                  SeriesKind kind) {
-  if (cache.size() <= link) cache.resize(link + 1, nullptr);
-  obs::TimeSeries*& series = cache[link];
-  if (series == nullptr) {
-    series = &GetTimeSeries(series_prefix_ + "/" + metric + "/" + LaneName(link),
-                            kind, config_.bucket_width);
+std::uint32_t Recorder::NewSeries(std::string name, SeriesKind kind) {
+  series_.push_back(
+      TimeSeriesRow{std::move(name), kind, config_.bucket_width, {}});
+  return static_cast<std::uint32_t>(series_.size());
+}
+
+TimeSeriesRow& Recorder::LinkSeries(std::vector<std::uint32_t>& slots,
+                                    std::uint64_t link, const char* metric,
+                                    SeriesKind kind) {
+  if (slots.size() <= link) slots.resize(link + 1, 0);
+  std::uint32_t& slot = slots[link];
+  if (slot == 0) {
+    slot = NewSeries(series_prefix_ + "/" + metric + "/" + LaneName(link),
+                     kind);
   }
-  return *series;
+  return series_[slot - 1];
 }
 
 bool Recorder::WouldSample(std::uint64_t packet) const {
@@ -191,22 +197,22 @@ void Recorder::Delivery(double latency, int hops) {
 
 void Recorder::LinkTransmit(std::uint64_t link, double now) {
   if (!timeseries_) return;
-  Series(tx_series_, link, "tx", SeriesKind::kSum).Record(now, 1);
+  Record(LinkSeries(tx_series_, link, "tx", SeriesKind::kSum), now, 1);
 }
 
 void Recorder::LinkQueueDepth(std::uint64_t link, double now, int depth) {
   if (!timeseries_) return;
-  Series(depth_series_, link, "queue_depth", SeriesKind::kMax)
-      .Record(now, depth);
+  Record(LinkSeries(depth_series_, link, "queue_depth", SeriesKind::kMax), now,
+         depth);
 }
 
 void Recorder::InFlight(double now, std::int64_t count) {
   if (!timeseries_) return;
-  if (in_flight_series_ == nullptr) {
-    in_flight_series_ = &GetTimeSeries(series_prefix_ + "/in_flight",
-                                       SeriesKind::kMax, config_.bucket_width);
+  if (in_flight_series_ == 0) {
+    in_flight_series_ =
+        NewSeries(series_prefix_ + "/in_flight", SeriesKind::kMax);
   }
-  in_flight_series_->Record(now, count);
+  Record(series_[in_flight_series_ - 1], now, count);
 }
 
 void Recorder::Flow(FlowKind kind, std::uint32_t flow, double bytes,
@@ -295,6 +301,9 @@ RunScope::~RunScope() {
 // ---------------------------------------------------------------------------
 
 struct FlightAccess {
+  static const std::vector<TimeSeriesRow>& Series(const Recorder& run) {
+    return run.series_;
+  }
   static RunSnapshot Snap(const Recorder& run) {
     RunSnapshot snap;
     snap.run = run.run_;
@@ -357,11 +366,7 @@ void WriteFctCsv(std::ostream& out, const std::vector<RunSnapshot>& runs) {
 
 void WriteFctCsvFile(const std::string& path) {
   const std::vector<RunSnapshot> runs = TakeRunsSnapshot();
-  std::ofstream out{path};
-  DCN_REQUIRE(out.good(), "cannot open FCT output file: " + path);
-  WriteFctCsv(out, runs);
-  out.flush();
-  DCN_REQUIRE(out.good(), "failed writing FCT output file: " + path);
+  WriteFile(path, "FCT", [&](std::ostream& out) { WriteFctCsv(out, runs); });
 }
 
 void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs) {
@@ -384,11 +389,8 @@ void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs) {
 
 void WriteFctSummaryFile(const std::string& path) {
   const std::vector<RunSnapshot> runs = TakeRunsSnapshot();
-  std::ofstream out{path};
-  DCN_REQUIRE(out.good(), "cannot open FCT summary output file: " + path);
-  WriteFctSummary(out, runs);
-  out.flush();
-  DCN_REQUIRE(out.good(), "failed writing FCT summary output file: " + path);
+  WriteFile(path, "FCT summary",
+            [&](std::ostream& out) { WriteFctSummary(out, runs); });
 }
 
 namespace detail {
@@ -405,3 +407,19 @@ void ResetRuns() {
 }  // namespace detail
 
 }  // namespace dcn::obs::flight
+
+namespace dcn::obs {
+
+std::vector<TimeSeriesRow> TakeTimeSeriesSnapshot() {
+  flight::FlightState& state = flight::State();
+  std::lock_guard<std::mutex> lock{state.mutex};
+  std::vector<TimeSeriesRow> rows;
+  for (const auto& run : state.runs) {
+    const std::vector<TimeSeriesRow>& series =
+        flight::FlightAccess::Series(*run);
+    rows.insert(rows.end(), series.begin(), series.end());
+  }
+  return rows;
+}
+
+}  // namespace dcn::obs

@@ -13,8 +13,8 @@
 //     trace complete ("X") + flow ("s"/"f") events through obs/trace.h: one
 //     process lane per run, one thread lane per directed link.
 //   * TIME SERIES — fixed-width buckets of per-link transmissions, per-link
-//     queue depth, and in-flight packets (obs/timeseries.h), merged in
-//     registration x shard order; exported as CSV/JSON.
+//     queue depth, and in-flight packets (obs/timeseries.h), kept per run in
+//     first-touch order; exported as CSV/JSON.
 //   * LATENCY BREAKDOWN — queueing vs serialization vs hop count per
 //     delivered measured packet (every packet, not just sampled ones),
 //     surfaced in PacketSimResult::breakdown and the --latency-breakdown
@@ -195,9 +195,10 @@ class Recorder {
            std::function<std::string(std::uint64_t)> lane_namer);
 
   const std::string& LaneName(std::uint64_t link);
-  obs::TimeSeries& Series(std::vector<obs::TimeSeries*>& cache,
-                          std::uint64_t link, const char* metric,
-                          SeriesKind kind);
+  std::uint32_t NewSeries(std::string name, SeriesKind kind);  // index + 1
+  TimeSeriesRow& LinkSeries(std::vector<std::uint32_t>& slots,
+                            std::uint64_t link, const char* metric,
+                            SeriesKind kind);
   void Finish();  // seals the run: flushes obs counters, drops the namer
 
   int run_ = 0;
@@ -218,10 +219,13 @@ class Recorder {
   std::uint64_t unroutable_ = 0;
 
   std::function<std::string(std::uint64_t)> lane_namer_;
-  std::vector<std::string> lane_names_;          // resolved, by link id
-  std::vector<obs::TimeSeries*> tx_series_;      // by link id
-  std::vector<obs::TimeSeries*> depth_series_;   // by link id
-  obs::TimeSeries* in_flight_series_ = nullptr;
+  std::vector<std::string> lane_names_;  // resolved, by link id
+  // The run's time series in first-touch order. A slot holds a series'
+  // index + 1 (0: not touched yet).
+  std::vector<TimeSeriesRow> series_;
+  std::vector<std::uint32_t> tx_series_;     // by link id
+  std::vector<std::uint32_t> depth_series_;  // by link id
+  std::uint32_t in_flight_series_ = 0;
   std::string series_prefix_;  // "run<id>/<sim>"
 };
 

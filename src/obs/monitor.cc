@@ -1,47 +1,18 @@
 #include "obs/monitor.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <ostream>
 #include <utility>
 
 #include "common/error.h"
+#include "obs/export.h"
 #include "obs/obs.h"
 
 namespace dcn::obs::monitor {
 namespace {
 
 constexpr int kQ = 16;  // fixed-point fraction bits
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 // Q16 values surface in JSON as plain doubles (exact: 16 fractional bits).
 double FromQ(std::int64_t q) {
@@ -334,16 +305,12 @@ void WriteAlertsJson(std::ostream& out,
   out << (runs.empty() ? "]" : "\n]") << "}";
 }
 
-bool WriteAlertsJsonFile(const std::string& path) {
-  std::ofstream out{path};
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot open alerts-json path %s\n",
-                 path.c_str());
-    return false;
-  }
-  WriteAlertsJson(out, SnapshotRuns());
-  out << '\n';
-  return true;
+void WriteAlertsJsonFile(const std::string& path) {
+  const std::vector<MonitorRunSnapshot> runs = SnapshotRuns();
+  WriteFile(path, "alerts JSON", [&](std::ostream& out) {
+    WriteAlertsJson(out, runs);
+    out << '\n';
+  });
 }
 
 namespace detail {

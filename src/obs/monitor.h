@@ -12,8 +12,8 @@
 // per-window integer counts fed in are identical. The sharded packet engine
 // guarantees exactly that (see sim/packetsim.cc): members count events for
 // their own link block, the coordinator steps finished windows between
-// barriers, and the serial engine attributes events to windows with the same
-// floor(time / width) rule.
+// barriers, and both engines attribute events to windows with the one
+// obs::WindowOf rule (obs/timeseries.h).
 //
 // Detector math per (signal, entity), value V fed as Q16 (v << 16):
 //
@@ -113,13 +113,6 @@ struct MonitorResult {
   std::size_t ClearCount() const;
 };
 
-// Window attribution rule shared by every producer: an event at `time`
-// belongs to window floor(time / width). Serial and sharded engines must use
-// this exact expression so boundary events land in the same window.
-inline std::uint32_t WindowOf(double time, double width) {
-  return static_cast<std::uint32_t>(time / width);
-}
-
 class HealthMonitor {
  public:
   explicit HealthMonitor(const MonitorConfig& config);
@@ -142,7 +135,7 @@ class HealthMonitor {
   std::size_t EntityCount() const { return entities_.size(); }
   std::size_t SignalCount() const { return signals_.size(); }
 
-  // Recovery aggregates, attributed by the caller via WindowOf().
+  // Recovery aggregates, attributed by the caller via obs::WindowOf().
   void AddDelivery(std::uint32_t window, double latency);
   void AddDrops(std::uint32_t window, std::uint64_t count);
 
@@ -199,8 +192,8 @@ void WriteAlertsJson(std::ostream& out,
                      const std::vector<MonitorRunSnapshot>& runs);
 
 // Standalone --alerts-json sink: the same document plus a trailing newline.
-// Returns false (and warns on stderr) when the file cannot be opened.
-bool WriteAlertsJsonFile(const std::string& path);
+// Throws InvalidArgument when the file cannot be written, like every sink.
+void WriteAlertsJsonFile(const std::string& path);
 
 namespace detail {
 // Clears published runs and restarts run ids at 0. Called by obs::Reset().

@@ -12,7 +12,6 @@
 #include "obs/monitor.h"
 #include "obs/rollup.h"
 #include "obs/sketch.h"
-#include "obs/timeseries.h"
 
 namespace dcn::obs {
 
@@ -30,6 +29,8 @@ constexpr std::size_t kMaxCounters = 256;
 constexpr std::size_t kMaxGauges = 64;
 constexpr std::size_t kMaxHistograms = 64;
 constexpr std::size_t kMaxSpanSites = 128;
+// Summary metrics hold no shards; the cap only catches runaway registration.
+constexpr std::size_t kMaxSummaries = 64;
 constexpr std::size_t kHistSlots =
     static_cast<std::size_t>(Histogram::kMaxExactValue) + 1;
 
@@ -72,14 +73,18 @@ struct Shard {
 struct Registry {
   std::mutex mutex;
   // Names in registration order per kind; the maps give idempotent lookup.
-  std::vector<std::string> counter_names, gauge_names, hist_names, span_names;
+  std::vector<std::string> counter_names, gauge_names, hist_names, span_names,
+      sketch_names, hitters_names, rollup_names;
   std::map<std::string, std::size_t, std::less<>> counter_ids, gauge_ids,
-      hist_ids, span_ids;
+      hist_ids, span_ids, sketch_ids, hitters_ids, rollup_ids;
   // Handle storage: one stable object per registered metric.
   std::vector<std::unique_ptr<Counter>> counter_handles;
   std::vector<std::unique_ptr<Gauge>> gauge_handles;
   std::vector<std::unique_ptr<Histogram>> hist_handles;
   std::vector<std::unique_ptr<SpanSite>> span_handles;
+  std::vector<std::unique_ptr<SketchMetric>> sketch_handles;
+  std::vector<std::unique_ptr<HeavyHittersMetric>> hitters_handles;
+  std::vector<std::unique_ptr<RollupMetric>> rollup_handles;
   // Shard creation order defines the thread index (= trace lane id).
   std::vector<std::unique_ptr<Shard>> shards;
 };
@@ -146,9 +151,43 @@ void FetchMax(std::atomic<std::int64_t>& slot, std::int64_t value) {
   }
 }
 
+// Merged rows of one summary kind, in registration order.
+template <typename Row, typename Summary>
+std::vector<Row> SummaryRows(
+    const std::vector<std::string>& names,
+    const std::vector<std::unique_ptr<SummaryMetric<Summary>>>& handles) {
+  std::lock_guard<std::mutex> lock{Reg().mutex};
+  std::vector<Row> rows;
+  rows.reserve(names.size());
+  for (std::size_t id = 0; id < names.size(); ++id) {
+    rows.push_back(Row{names[id], handles[id]->Merged()});
+  }
+  return rows;
+}
+
 }  // namespace
 
 namespace detail {
+
+struct SummaryAccess {
+  template <typename Summary>
+  static std::unique_ptr<SummaryMetric<Summary>> Make(const Summary& empty) {
+    return std::unique_ptr<SummaryMetric<Summary>>{
+        new SummaryMetric<Summary>{empty}};
+  }
+  template <typename Summary>
+  static const Summary& Empty(const SummaryMetric<Summary>& metric) {
+    return metric.empty_;
+  }
+  template <typename Summary>
+  static void Reset(
+      const std::vector<std::unique_ptr<SummaryMetric<Summary>>>& metrics) {
+    for (const auto& metric : metrics) {
+      const std::lock_guard<std::mutex> lock{metric->mutex_};
+      metric->value_ = metric->empty_;
+    }
+  }
+};
 
 std::uint64_t NowNs() {
   using Clock = std::chrono::steady_clock;
@@ -270,6 +309,66 @@ Histogram& GetHistogram(std::string_view name) {
                   });
 }
 
+SketchMetric& GetQuantileSketch(std::string_view name,
+                                double relative_accuracy) {
+  Registry& reg = Reg();
+  SketchMetric& metric = Register(
+      reg.sketch_names, reg.sketch_ids, reg.sketch_handles, kMaxSummaries,
+      name, "quantile sketches", [&](std::size_t) {
+        return detail::SummaryAccess::Make(QuantileSketch{relative_accuracy});
+      });
+  DCN_REQUIRE(detail::SummaryAccess::Empty(metric).RelativeAccuracy() ==
+                  relative_accuracy,
+              "quantile sketch re-registered with a different accuracy: " +
+                  std::string{name});
+  return metric;
+}
+
+HeavyHittersMetric& GetHeavyHitters(std::string_view name,
+                                    std::size_t capacity) {
+  Registry& reg = Reg();
+  HeavyHittersMetric& metric = Register(
+      reg.hitters_names, reg.hitters_ids, reg.hitters_handles, kMaxSummaries,
+      name, "heavy-hitter metrics", [&](std::size_t) {
+        return detail::SummaryAccess::Make(HeavyHitters{capacity});
+      });
+  DCN_REQUIRE(detail::SummaryAccess::Empty(metric).Capacity() == capacity,
+              "heavy-hitter metric re-registered with a different "
+              "capacity: " +
+                  std::string{name});
+  return metric;
+}
+
+RollupMetric& GetRollup(std::string_view name,
+                        std::span<const std::string> level_names) {
+  const std::vector<std::string> levels{level_names.begin(),
+                                        level_names.end()};
+  Registry& reg = Reg();
+  RollupMetric& metric = Register(
+      reg.rollup_names, reg.rollup_ids, reg.rollup_handles, kMaxSummaries,
+      name, "rollups",
+      [&](std::size_t) { return detail::SummaryAccess::Make(Rollup{levels}); });
+  DCN_REQUIRE(detail::SummaryAccess::Empty(metric).LevelNames() == levels,
+              "rollup re-registered with a different level chain: " +
+                  std::string{name});
+  return metric;
+}
+
+std::vector<SketchRow> TakeSketchSnapshot() {
+  Registry& reg = Reg();
+  return SummaryRows<SketchRow>(reg.sketch_names, reg.sketch_handles);
+}
+
+std::vector<HeavyHittersRow> TakeHeavyHittersSnapshot() {
+  Registry& reg = Reg();
+  return SummaryRows<HeavyHittersRow>(reg.hitters_names, reg.hitters_handles);
+}
+
+std::vector<RollupRow> TakeRollupSnapshot() {
+  Registry& reg = Reg();
+  return SummaryRows<RollupRow>(reg.rollup_names, reg.rollup_handles);
+}
+
 SpanSite& GetSpanSite(std::string_view name) {
   Registry& reg = Reg();
   return Register(reg.span_names, reg.span_ids, reg.span_handles,
@@ -319,14 +418,14 @@ void Reset() {
       for (auto& slot : shard->span_total_ns) slot.store(0, kRelaxed);
       shard->trace.clear();
     }
+    detail::SummaryAccess::Reset(reg.sketch_handles);
+    detail::SummaryAccess::Reset(reg.hitters_handles);
+    detail::SummaryAccess::Reset(reg.rollup_handles);
   }
-  // The flight recorder and its time series reset with the metrics so
-  // repeated experiments in one process (tests, bench loops) start from run
-  // id 0 with an empty series registry. Outside the registry lock: these
-  // registries have their own locks and never call back into this one.
-  detail::ResetTimeSeriesRegistry();
-  detail::ResetSketchRegistry();
-  detail::ResetRollupRegistry();
+  // The flight and monitor run stores reset with the metrics so repeated
+  // experiments in one process (tests, bench loops) start from run id 0.
+  // Outside the registry lock: the stores have their own locks and never
+  // call back into this one.
   flight::detail::ResetRuns();
   monitor::detail::ResetRuns();
 }

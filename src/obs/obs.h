@@ -1,12 +1,16 @@
 // Deterministic instrumentation: process-wide named counters, gauges,
-// histograms, and scoped timers, compiled in by default.
+// histograms, scoped timers and summary metrics (quantile sketches, heavy
+// hitters, rollups), compiled in by default.
 //
 // Design rules that keep the instrumented code deterministic and cheap:
-//  * Metric values live in PER-THREAD SHARDS (one slot block per thread that
-//    ever touched obs). An increment is a relaxed atomic add on the calling
-//    thread's own slot — no contention, no locks, no allocation on the hot
-//    path — so enabling obs never changes scheduling, RNG draws, or any
-//    computed result.
+//  * Counter, gauge, histogram and timer values live in PER-THREAD SHARDS
+//    (one slot block per thread that ever touched obs). An increment is a
+//    relaxed atomic add on the calling thread's own slot — no contention, no
+//    locks, no allocation on the hot path — so enabling obs never changes
+//    scheduling, RNG draws, or any computed result.
+//  * Summary metrics are written once per run, not per event: a simulator
+//    builds a local partial and merges it from the run's own thread, so each
+//    holds one mutex-guarded merged value (SummaryMetric below).
 //  * Every recorded value is an exact integer, and shard merges fold in
 //    deterministic (metric registration order x shard creation order)
 //    order. Integer sums are order-free, so merged counter and histogram
@@ -32,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,6 +47,8 @@ namespace dcn::obs {
 class SpanSite;
 
 namespace detail {
+// Constructs and resets SummaryMetric handles (obs.cc).
+struct SummaryAccess;
 // Single-branch gates for the timer fast path. `g_spans_enabled` turns on
 // clock reads + aggregate timer stats; `g_trace_capture` additionally
 // buffers one trace event per completed span.
@@ -124,6 +131,35 @@ class Histogram {
 
 Histogram& GetHistogram(std::string_view name);
 
+// Named metric over a mergeable summary value: QuantileSketch or
+// HeavyHitters (obs/sketch.h: SketchMetric, HeavyHittersMetric) or Rollup
+// (obs/rollup.h: RollupMetric), registered by the Get* functions declared
+// there. Merge folds a run's partial into the one merged value under the
+// metric's mutex. Sketch and rollup merges are order-free; HeavyHitters
+// merges are not associative, so feed a heavy-hitter metric from one thread
+// per run (every simulator merges its exact post-run tallies once, from the
+// thread that ran it).
+template <typename Summary>
+class SummaryMetric {
+ public:
+  void Merge(const Summary& partial) {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    value_.Merge(partial);
+  }
+  Summary Merged() const {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    return value_;
+  }
+
+ private:
+  friend struct detail::SummaryAccess;
+  explicit SummaryMetric(const Summary& empty) : empty_(empty), value_(empty) {}
+
+  const Summary empty_;  // the registered parameters; Reset() restores it
+  mutable std::mutex mutex_;
+  Summary value_;
+};
+
 // One static timing site (a named code region). Created via GetSpanSite,
 // normally through the OBS_SPAN macro below.
 class SpanSite {
@@ -177,11 +213,12 @@ class ScopedSpan {
 // (normally the main thread) is "main" by default.
 void SetCurrentThreadName(std::string name);
 
-// Zeroes every metric value, span aggregate, and buffered trace event while
-// keeping all registrations (and handles) valid. Also clears the flight
-// recorder's sealed runs (obs/flight.h) and the whole time-series registry
-// (obs/timeseries.h — those handles DO become invalid). Call between test
-// cases or measurement windows, outside parallel regions.
+// Zeroes every metric value (summary metrics read empty again), span
+// aggregate, and buffered trace event while keeping all registrations (and
+// handles) valid. Also clears the flight recorder's runs with their time
+// series (obs/flight.h) and the health monitor's published runs
+// (obs/monitor.h), restarting both run ids at 0. Call between test cases or
+// measurement windows, outside parallel regions.
 void Reset();
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 #include "obs/report.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <ostream>
 
 #include "common/cli.h"
-#include "common/error.h"
+#include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/monitor.h"
 #include "obs/rollup.h"
@@ -34,36 +31,6 @@ struct SinkConfig {
 std::mutex g_sink_mutex;
 SinkConfig g_sinks;
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Round-trippable decimal form, so the JSON is both exact and byte-stable
-// across thread counts (the values themselves are deterministic).
-std::string JsonDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 }  // namespace
 
 Table ReportTable(const Snapshot& snapshot) {
@@ -87,8 +54,8 @@ Table ReportTable(const Snapshot& snapshot) {
                   Table::Cell(total_ms, 3),
                   Table::Cell(total_ms / static_cast<double>(row.count), 3), ""});
   }
-  // Sketch-layer metrics (obs/sketch.h, obs/rollup.h) render alongside: the
-  // p99 as the headline value, bounded-error mean, exact max.
+  // Summary metrics (obs/sketch.h, obs/rollup.h) render alongside: the p99
+  // as the headline value, bounded-error mean, exact max.
   for (const SketchRow& row : TakeSketchSnapshot()) {
     if (row.sketch.Count() == 0) continue;
     table.AddRow({row.name, "sketch-p99", Table::Cell(row.sketch.Count()),
@@ -165,8 +132,8 @@ void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
   }
   out << "\n},\n";
 
-  // Sketch-layer registries (obs/sketch.h, obs/rollup.h). Emitted even when
-  // empty so the schema (scripts/validate_stats.py) is stable.
+  // Summary metrics (obs/sketch.h, obs/rollup.h). Emitted even when empty
+  // so the schema (scripts/validate_stats.py) is stable.
   out << "\"sketches\": {";
   const std::vector<SketchRow> sketches = TakeSketchSnapshot();
   for (std::size_t i = 0; i < sketches.size(); ++i) {
@@ -253,11 +220,8 @@ void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
 
 void WriteStatsJsonFile(const std::string& path) {
   const Snapshot snapshot = TakeSnapshot();
-  std::ofstream out{path};
-  DCN_REQUIRE(out.good(), "cannot open stats output file: " + path);
-  WriteStatsJson(out, snapshot);
-  out.flush();
-  DCN_REQUIRE(out.good(), "failed writing stats output file: " + path);
+  WriteFile(path, "stats",
+            [&](std::ostream& out) { WriteStatsJson(out, snapshot); });
 }
 
 void ConfigureSinks(const CliArgs& args) {

@@ -49,16 +49,16 @@ namespace dcn::obs {
 
 // One row per registered metric, in registration order: counters (value),
 // gauges (max), histograms (count/mean/max), timers (count/total-ms/mean-us),
-// then the sketch-layer registries (quantile sketches, heavy hitters, rollup
-// levels — obs/sketch.h, obs/rollup.h), which are read live from their own
-// registries rather than from `snapshot`.
+// then the summary metrics (quantile sketches, heavy hitters, rollup levels
+// — obs/sketch.h, obs/rollup.h), which are read live from the registry
+// rather than from `snapshot`.
 Table ReportTable(const Snapshot& snapshot);
 Table ReportTable();
 
 // {"counters": {...}, "gauges": {...}, "histograms": {...}, "timers": {...},
 //  "sketches": {...}, "heavy_hitters": {...}, "rollups": {...},
-//  "alerts": {...}} — the sketch-layer blocks snapshot their registries live
-// and "alerts" embeds the monitor's published runs (always present, possibly
+//  "alerts": {...}} — the summary blocks read the registry live and
+// "alerts" embeds the monitor's published runs (always present, possibly
 // empty; schema checked by scripts/validate_stats.py). Counter, histogram,
 // sketch, and alert contents are deterministic at any thread count; timer
 // durations are wall-clock and vary run to run.
@@ -70,9 +70,9 @@ void WriteStatsJsonFile(const std::string& path);
 // spans stay disabled (their cost collapses to one predictable branch).
 void ConfigureSinks(const CliArgs& args);
 
-// Writes every sink configured by ConfigureSinks (no-op when none). Call
-// once at process exit, outside parallel regions. Idempotent: flushing
-// clears the configuration.
+// Writes every sink configured by ConfigureSinks (no-op when none); a file
+// that cannot be written throws InvalidArgument. Call once at process exit,
+// outside parallel regions. Idempotent: flushing clears the configuration.
 void FlushSinks();
 
 }  // namespace dcn::obs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
@@ -79,131 +77,6 @@ std::vector<Rollup::LevelSummary> Rollup::Summarize(
   }
   return summaries;
 }
-
-// ---------------------------------------------------------------------------
-// Registry (same shape as obs/sketch.cc).
-
-namespace {
-
-struct RollupInfo {
-  std::string name;
-  std::vector<std::string> level_names;
-  std::unique_ptr<RollupMetric> handle;
-};
-
-struct RollupShard {
-  std::vector<std::unique_ptr<Rollup>> rollups;  // by rollup id
-};
-
-struct RollupRegistry {
-  std::mutex mutex;
-  std::vector<RollupInfo> rollups;  // registration order
-  std::map<std::string, std::size_t, std::less<>> ids;
-  std::vector<std::unique_ptr<RollupShard>> shards;  // shard creation order
-  std::uint64_t epoch = 0;
-};
-
-RollupRegistry& Reg() {
-  static RollupRegistry* registry = new RollupRegistry;
-  return *registry;
-}
-
-thread_local RollupShard* tl_rollup_shard = nullptr;
-thread_local std::uint64_t tl_rollup_epoch = 0;
-
-RollupShard& LocalShard() {
-  RollupRegistry& reg = Reg();
-  if (tl_rollup_shard == nullptr || tl_rollup_epoch != reg.epoch) {
-    std::lock_guard<std::mutex> lock{reg.mutex};
-    auto shard = std::make_unique<RollupShard>();
-    tl_rollup_shard = shard.get();
-    tl_rollup_epoch = reg.epoch;
-    reg.shards.push_back(std::move(shard));
-  }
-  return *tl_rollup_shard;
-}
-
-Rollup& RollupSlot(RollupShard& shard, std::size_t id,
-                   const std::vector<std::string>& level_names) {
-  if (shard.rollups.size() <= id) shard.rollups.resize(id + 1);
-  if (shard.rollups[id] == nullptr) {
-    shard.rollups[id] = std::make_unique<Rollup>(level_names);
-  }
-  return *shard.rollups[id];
-}
-
-}  // namespace
-
-void RollupMetric::Add(std::span<const std::int64_t> groups,
-                       std::int64_t value) {
-  RollupSlot(LocalShard(), id_, level_names_).Add(groups, value);
-}
-
-void RollupMetric::Merge(const Rollup& partial) {
-  RollupSlot(LocalShard(), id_, level_names_).Merge(partial);
-}
-
-Rollup RollupMetric::Merged() const {
-  Rollup merged{level_names_};
-  RollupRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  for (const auto& shard : reg.shards) {
-    if (shard->rollups.size() > id_ && shard->rollups[id_] != nullptr) {
-      merged.Merge(*shard->rollups[id_]);
-    }
-  }
-  return merged;
-}
-
-RollupMetric& GetRollup(std::string_view name,
-                        std::span<const std::string> level_names) {
-  std::vector<std::string> levels{level_names.begin(), level_names.end()};
-  RollupRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  if (const auto it = reg.ids.find(name); it != reg.ids.end()) {
-    RollupInfo& info = reg.rollups[it->second];
-    DCN_REQUIRE(info.level_names == levels,
-                "rollup re-registered with a different level chain: " +
-                    std::string{name});
-    return *info.handle;
-  }
-  const std::size_t id = reg.rollups.size();
-  RollupInfo info;
-  info.name = std::string{name};
-  info.level_names = levels;
-  info.handle.reset(new RollupMetric{id, std::move(levels)});
-  reg.ids.emplace(info.name, id);
-  reg.rollups.push_back(std::move(info));
-  return *reg.rollups.back().handle;
-}
-
-std::vector<RollupRow> TakeRollupSnapshot() {
-  RollupRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  std::vector<RollupRow> rows;
-  rows.reserve(reg.rollups.size());
-  for (std::size_t id = 0; id < reg.rollups.size(); ++id) {
-    RollupRow row{reg.rollups[id].name, Rollup{reg.rollups[id].level_names}};
-    for (const auto& shard : reg.shards) {
-      if (shard->rollups.size() > id && shard->rollups[id] != nullptr) {
-        row.rollup.Merge(*shard->rollups[id]);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-namespace detail {
-
-void ResetRollupRegistry() {
-  RollupRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  reg.shards.clear();
-  ++reg.epoch;
-}
-
-}  // namespace detail
 
 std::span<const std::string> LinkRollupLevels() {
   static const std::array<std::string, 4> kLevels{"link", "node", "tier",

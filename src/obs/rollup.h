@@ -20,9 +20,9 @@
 // Summarize() feeds the per-level sketches in ascending group order from the
 // merged totals — a pure function of the rollup's content.
 //
-// Registry handles (GetRollup) follow obs/sketch.h: named process-global
-// metrics backed by per-thread shards merged in registration x shard order,
-// exported by obs/report.cc, cleared (registrations kept) by obs::Reset().
+// Registry handles (GetRollup) are obs/obs.h SummaryMetrics, like the
+// sketch metrics of obs/sketch.h: one mutex-guarded merged value per name,
+// exported by obs/report.cc, emptied (registrations kept) by obs::Reset().
 #pragma once
 
 #include <cstdint>
@@ -81,23 +81,7 @@ class Rollup {
   std::vector<std::map<std::int64_t, GroupAgg>> levels_;
 };
 
-// Thread-safe handle to a named rollup. Add/Merge write the calling thread's
-// shard; Merged() folds every shard — bit-identical at any DCN_THREADS
-// because Rollup merges are commutative and associative.
-class RollupMetric {
- public:
-  void Add(std::span<const std::int64_t> groups, std::int64_t value);
-  void Merge(const Rollup& partial);
-  Rollup Merged() const;
-
- private:
-  friend RollupMetric& GetRollup(std::string_view,
-                                 std::span<const std::string>);
-  RollupMetric(std::size_t id, std::vector<std::string> level_names)
-      : id_(id), level_names_(std::move(level_names)) {}
-  std::size_t id_;
-  std::vector<std::string> level_names_;
-};
+using RollupMetric = SummaryMetric<Rollup>;
 
 // Registers (or finds) a named rollup; re-registration must agree on the
 // level names. Handles survive obs::Reset() like the sketch metrics.
@@ -109,13 +93,8 @@ struct RollupRow {
   Rollup rollup;
 };
 
-// Merged snapshot in registration order. Call outside parallel regions.
+// Merged values in registration order.
 std::vector<RollupRow> TakeRollupSnapshot();
-
-namespace detail {
-// Clears every shard's data; keeps registrations. Called by obs::Reset().
-void ResetRollupRegistry();
-}  // namespace detail
 
 // The simulators' standard link hierarchy: directed link -> transmitting
 // node -> transmitter tier (0 = server, 1 = switch) -> fabric (always group

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
@@ -217,212 +215,5 @@ std::vector<HeavyHitters::Entry> HeavyHitters::Top() const {
   });
   return top;
 }
-
-// ---------------------------------------------------------------------------
-// Registry (mirrors obs/timeseries.cc: per-thread shards, leaky singleton,
-// epoch-invalidated thread-local shard pointers).
-
-namespace {
-
-struct SketchInfo {
-  std::string name;
-  double alpha = QuantileSketch::kDefaultAccuracy;
-  std::unique_ptr<SketchMetric> handle;
-};
-
-struct HittersInfo {
-  std::string name;
-  std::size_t capacity = 0;
-  std::unique_ptr<HeavyHittersMetric> handle;
-};
-
-// One thread's slice of every metric, written only by the owning thread;
-// snapshots read after the writing region completed (the pool's completion
-// sync is the happens-before edge, as for the obs metric shards).
-struct SketchShard {
-  std::vector<std::unique_ptr<QuantileSketch>> sketches;  // by sketch id
-  std::vector<std::unique_ptr<HeavyHitters>> hitters;     // by hitters id
-};
-
-struct SketchRegistry {
-  std::mutex mutex;
-  std::vector<SketchInfo> sketches;  // registration order
-  std::map<std::string, std::size_t, std::less<>> sketch_ids;
-  std::vector<HittersInfo> hitters;  // registration order
-  std::map<std::string, std::size_t, std::less<>> hitters_ids;
-  std::vector<std::unique_ptr<SketchShard>> shards;  // shard creation order
-  std::uint64_t epoch = 0;
-};
-
-SketchRegistry& Reg() {
-  static SketchRegistry* registry = new SketchRegistry;
-  return *registry;
-}
-
-thread_local SketchShard* tl_sketch_shard = nullptr;
-thread_local std::uint64_t tl_sketch_epoch = 0;
-
-SketchShard& LocalShard() {
-  SketchRegistry& reg = Reg();
-  if (tl_sketch_shard == nullptr || tl_sketch_epoch != reg.epoch) {
-    std::lock_guard<std::mutex> lock{reg.mutex};
-    auto shard = std::make_unique<SketchShard>();
-    tl_sketch_shard = shard.get();
-    tl_sketch_epoch = reg.epoch;
-    reg.shards.push_back(std::move(shard));
-  }
-  return *tl_sketch_shard;
-}
-
-QuantileSketch& SketchSlot(SketchShard& shard, std::size_t id, double alpha) {
-  if (shard.sketches.size() <= id) shard.sketches.resize(id + 1);
-  if (shard.sketches[id] == nullptr) {
-    shard.sketches[id] = std::make_unique<QuantileSketch>(alpha);
-  }
-  return *shard.sketches[id];
-}
-
-HeavyHitters& HittersSlot(SketchShard& shard, std::size_t id,
-                          std::size_t capacity) {
-  if (shard.hitters.size() <= id) shard.hitters.resize(id + 1);
-  if (shard.hitters[id] == nullptr) {
-    shard.hitters[id] = std::make_unique<HeavyHitters>(capacity);
-  }
-  return *shard.hitters[id];
-}
-
-}  // namespace
-
-void SketchMetric::Observe(double value, std::uint64_t weight) {
-  SketchSlot(LocalShard(), id_, alpha_).Add(value, weight);
-}
-
-void SketchMetric::Merge(const QuantileSketch& partial) {
-  SketchSlot(LocalShard(), id_, alpha_).Merge(partial);
-}
-
-QuantileSketch SketchMetric::Merged() const {
-  QuantileSketch merged{alpha_};
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  for (const auto& shard : reg.shards) {
-    if (shard->sketches.size() > id_ && shard->sketches[id_] != nullptr) {
-      merged.Merge(*shard->sketches[id_]);
-    }
-  }
-  return merged;
-}
-
-void HeavyHittersMetric::Add(std::int64_t key, std::uint64_t weight) {
-  HittersSlot(LocalShard(), id_, capacity_).Add(key, weight);
-}
-
-void HeavyHittersMetric::Merge(const HeavyHitters& partial) {
-  HittersSlot(LocalShard(), id_, capacity_).Merge(partial);
-}
-
-HeavyHitters HeavyHittersMetric::Merged() const {
-  HeavyHitters merged{capacity_};
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  for (const auto& shard : reg.shards) {
-    if (shard->hitters.size() > id_ && shard->hitters[id_] != nullptr) {
-      merged.Merge(*shard->hitters[id_]);
-    }
-  }
-  return merged;
-}
-
-SketchMetric& GetQuantileSketch(std::string_view name,
-                                double relative_accuracy) {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  if (const auto it = reg.sketch_ids.find(name); it != reg.sketch_ids.end()) {
-    SketchInfo& info = reg.sketches[it->second];
-    DCN_REQUIRE(info.alpha == relative_accuracy,
-                "quantile sketch re-registered with a different accuracy: " +
-                    std::string{name});
-    return *info.handle;
-  }
-  const std::size_t id = reg.sketches.size();
-  SketchInfo info;
-  info.name = std::string{name};
-  info.alpha = relative_accuracy;
-  info.handle.reset(new SketchMetric{id, relative_accuracy});
-  reg.sketch_ids.emplace(info.name, id);
-  reg.sketches.push_back(std::move(info));
-  return *reg.sketches.back().handle;
-}
-
-HeavyHittersMetric& GetHeavyHitters(std::string_view name,
-                                    std::size_t capacity) {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  if (const auto it = reg.hitters_ids.find(name); it != reg.hitters_ids.end()) {
-    HittersInfo& info = reg.hitters[it->second];
-    DCN_REQUIRE(info.capacity == capacity,
-                "heavy-hitter metric re-registered with a different "
-                "capacity: " +
-                    std::string{name});
-    return *info.handle;
-  }
-  const std::size_t id = reg.hitters.size();
-  HittersInfo info;
-  info.name = std::string{name};
-  info.capacity = capacity;
-  info.handle.reset(new HeavyHittersMetric{id, capacity});
-  reg.hitters_ids.emplace(info.name, id);
-  reg.hitters.push_back(std::move(info));
-  return *reg.hitters.back().handle;
-}
-
-std::vector<SketchRow> TakeSketchSnapshot() {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  std::vector<SketchRow> rows;
-  rows.reserve(reg.sketches.size());
-  for (std::size_t id = 0; id < reg.sketches.size(); ++id) {
-    SketchRow row{reg.sketches[id].name,
-                  QuantileSketch{reg.sketches[id].alpha}};
-    for (const auto& shard : reg.shards) {
-      if (shard->sketches.size() > id && shard->sketches[id] != nullptr) {
-        row.sketch.Merge(*shard->sketches[id]);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-std::vector<HeavyHittersRow> TakeHeavyHittersSnapshot() {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  std::vector<HeavyHittersRow> rows;
-  rows.reserve(reg.hitters.size());
-  for (std::size_t id = 0; id < reg.hitters.size(); ++id) {
-    HeavyHittersRow row{reg.hitters[id].name,
-                        HeavyHitters{reg.hitters[id].capacity}};
-    for (const auto& shard : reg.shards) {
-      if (shard->hitters.size() > id && shard->hitters[id] != nullptr) {
-        row.hitters.Merge(*shard->hitters[id]);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-namespace detail {
-
-void ResetSketchRegistry() {
-  SketchRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  // Registrations (names, handles) survive so static-local caches stay
-  // valid; the shards and the thread-local pointers into them do not.
-  reg.shards.clear();
-  ++reg.epoch;
-}
-
-}  // namespace detail
 
 }  // namespace dcn::obs

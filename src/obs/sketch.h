@@ -28,11 +28,10 @@
 // simulators do), or merge explicit partials in fixed chunk order
 // (common/parallel.h ParallelMapReduce).
 //
-// Registry handles (GetQuantileSketch / GetHeavyHitters) mirror
-// obs/timeseries.h: named process-global metrics backed by per-thread shards
-// merged in registration x shard order, flushed into the stats-JSON /
-// --obs-report sinks by obs/report.cc, and cleared (registrations kept) by
-// obs::Reset().
+// Registry handles (GetQuantileSketch / GetHeavyHitters) are obs/obs.h
+// SummaryMetrics: named process-global metrics, each one mutex-guarded merged
+// value, exported by the stats-JSON / --obs-report sinks (obs/report.cc) and
+// emptied (registrations kept) by obs::Reset().
 #pragma once
 
 #include <cstdint>
@@ -40,6 +39,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/obs.h"
 
 namespace dcn::obs {
 
@@ -137,43 +138,10 @@ class HeavyHitters {
 };
 
 // ---------------------------------------------------------------------------
-// Registry handles (process-global named metrics, like obs/timeseries.h).
+// Registry handles (obs/obs.h SummaryMetric).
 
-// Thread-safe handle to a named quantile sketch. Observe/Merge write the
-// calling thread's shard; Merged() folds every shard. Because QuantileSketch
-// merges are commutative AND associative, Merged() readouts are bit-identical
-// at any DCN_THREADS however the writers were scheduled.
-class SketchMetric {
- public:
-  void Observe(double value, std::uint64_t weight = 1);
-  void Merge(const QuantileSketch& partial);
-  QuantileSketch Merged() const;
-
- private:
-  friend SketchMetric& GetQuantileSketch(std::string_view, double);
-  SketchMetric(std::size_t id, double alpha) : id_(id), alpha_(alpha) {}
-  std::size_t id_;
-  double alpha_;
-};
-
-// Thread-safe handle to a named heavy-hitter summary. Shards are folded in
-// registration x shard order; HeavyHitters::Merge is not associative, so for
-// bit-identical readouts at any DCN_THREADS feed a given metric from one
-// coordinating thread per run (the simulators flush their exact post-run
-// tallies this way), not concurrently from pool workers.
-class HeavyHittersMetric {
- public:
-  void Add(std::int64_t key, std::uint64_t weight = 1);
-  void Merge(const HeavyHitters& partial);
-  HeavyHitters Merged() const;
-
- private:
-  friend HeavyHittersMetric& GetHeavyHitters(std::string_view, std::size_t);
-  HeavyHittersMetric(std::size_t id, std::size_t capacity)
-      : id_(id), capacity_(capacity) {}
-  std::size_t id_;
-  std::size_t capacity_;
-};
+using SketchMetric = SummaryMetric<QuantileSketch>;
+using HeavyHittersMetric = SummaryMetric<HeavyHitters>;
 
 // Registers (or finds) a named metric. Re-registration must agree on the
 // parameters. Handles stay valid across obs::Reset() — reset clears the
@@ -193,15 +161,8 @@ struct HeavyHittersRow {
   HeavyHitters hitters;
 };
 
-// Merged snapshots in registration order (shards folded in creation order).
-// Call outside parallel regions, like obs::TakeSnapshot().
+// Merged values in registration order.
 std::vector<SketchRow> TakeSketchSnapshot();
 std::vector<HeavyHittersRow> TakeHeavyHittersSnapshot();
-
-namespace detail {
-// Clears every shard's data; keeps registrations so cached handles survive.
-// Called by obs::Reset().
-void ResetSketchRegistry();
-}  // namespace detail
 
 }  // namespace dcn::obs

@@ -1,145 +1,26 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 
 #include "common/error.h"
+#include "obs/export.h"
 
 namespace dcn::obs {
 
-namespace {
-
-struct SeriesInfo {
-  std::string name;
-  SeriesKind kind = SeriesKind::kSum;
-  double bucket_width = 0.0;
-  std::unique_ptr<TimeSeries> handle;
-};
-
-// One thread's slice of every series: buckets[series_id][bucket]. Written
-// only by the owning thread; snapshots read after the writing region
-// completed (the pool's completion sync is the happens-before edge, exactly
-// as for the obs metric shards).
-struct TsShard {
-  std::vector<std::vector<std::int64_t>> buckets;
-};
-
-struct TsRegistry {
-  std::mutex mutex;
-  std::vector<SeriesInfo> series;  // registration order
-  std::map<std::string, std::size_t, std::less<>> ids;
-  std::vector<std::unique_ptr<TsShard>> shards;  // shard creation order
-  // Bumped by ResetTimeSeriesRegistry so threads drop their stale shard
-  // pointer instead of writing into a cleared registry.
-  std::uint64_t epoch = 0;
-};
-
-// Leaky singleton, mirroring obs.cc: instrumented code may run during
-// static destruction.
-TsRegistry& Reg() {
-  static TsRegistry* registry = new TsRegistry;
-  return *registry;
-}
-
-thread_local TsShard* tl_ts_shard = nullptr;
-thread_local std::uint64_t tl_ts_epoch = 0;
-
-TsShard& LocalShard() {
-  TsRegistry& reg = Reg();
-  if (tl_ts_shard == nullptr || tl_ts_epoch != reg.epoch) {
-    std::lock_guard<std::mutex> lock{reg.mutex};
-    auto shard = std::make_unique<TsShard>();
-    tl_ts_shard = shard.get();
-    tl_ts_epoch = reg.epoch;
-    reg.shards.push_back(std::move(shard));
-  }
-  return *tl_ts_shard;
-}
-
-}  // namespace
-
-void TimeSeries::Record(double time, std::int64_t value) {
+void Record(TimeSeriesRow& row, double time, std::int64_t value) {
   DCN_ASSERT(value >= 0);
-  std::size_t bucket = 0;
-  if (time > 0) {
-    const double scaled = std::floor(time / bucket_width_);
-    bucket = scaled >= static_cast<double>(kMaxBucketIndex)
-                 ? kMaxBucketIndex
-                 : static_cast<std::size_t>(scaled);
-  }
-  TsShard& shard = LocalShard();
-  if (shard.buckets.size() <= id_) shard.buckets.resize(id_ + 1);
-  std::vector<std::int64_t>& series = shard.buckets[id_];
-  if (series.size() <= bucket) series.resize(bucket + 1, 0);
-  if (kind_ == SeriesKind::kSum) {
-    series[bucket] += value;
+  const std::size_t bucket = WindowOf(time, row.bucket_width);
+  if (row.buckets.size() <= bucket) row.buckets.resize(bucket + 1, 0);
+  if (row.kind == SeriesKind::kSum) {
+    row.buckets[bucket] += value;
   } else {
-    series[bucket] = std::max(series[bucket], value);
+    row.buckets[bucket] = std::max(row.buckets[bucket], value);
   }
-}
-
-TimeSeries& GetTimeSeries(std::string_view name, SeriesKind kind,
-                          double bucket_width) {
-  DCN_REQUIRE(bucket_width > 0, "time series bucket width must be positive");
-  TsRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  if (const auto it = reg.ids.find(name); it != reg.ids.end()) {
-    SeriesInfo& info = reg.series[it->second];
-    DCN_REQUIRE(info.kind == kind && info.bucket_width == bucket_width,
-                "time series re-registered with different kind or bucket "
-                "width: " + std::string{name});
-    return *info.handle;
-  }
-  const std::size_t id = reg.series.size();
-  SeriesInfo info;
-  info.name = std::string{name};
-  info.kind = kind;
-  info.bucket_width = bucket_width;
-  info.handle.reset(new TimeSeries{id, kind, bucket_width});
-  reg.ids.emplace(info.name, id);
-  reg.series.push_back(std::move(info));
-  return *reg.series.back().handle;
-}
-
-std::vector<TimeSeriesRow> TakeTimeSeriesSnapshot() {
-  TsRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  std::vector<TimeSeriesRow> rows;
-  rows.reserve(reg.series.size());
-  for (std::size_t id = 0; id < reg.series.size(); ++id) {
-    const SeriesInfo& info = reg.series[id];
-    TimeSeriesRow row;
-    row.name = info.name;
-    row.kind = info.kind;
-    row.bucket_width = info.bucket_width;
-    for (const auto& shard : reg.shards) {
-      if (shard->buckets.size() <= id) continue;
-      const std::vector<std::int64_t>& partial = shard->buckets[id];
-      if (partial.size() > row.buckets.size()) {
-        row.buckets.resize(partial.size(), 0);
-      }
-      for (std::size_t b = 0; b < partial.size(); ++b) {
-        if (info.kind == SeriesKind::kSum) {
-          row.buckets[b] += partial[b];
-        } else {
-          row.buckets[b] = std::max(row.buckets[b], partial[b]);
-        }
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 namespace {
 
-// Series and metric names contain no quotes or control characters by
-// construction, but escape defensively for the JSON export.
 std::string CsvField(const std::string& text) {
   if (text.find_first_of(",\"\n") == std::string::npos) return text;
   std::string out = "\"";
@@ -173,7 +54,7 @@ void WriteTimeSeriesJson(std::ostream& out,
   bool first = true;
   for (const TimeSeriesRow& row : rows) {
     if (row.buckets.empty()) continue;
-    out << (first ? "\n" : ",\n") << "  {\"name\": \"" << row.name
+    out << (first ? "\n" : ",\n") << "  {\"name\": \"" << JsonEscape(row.name)
         << "\", \"kind\": \""
         << (row.kind == SeriesKind::kSum ? "sum" : "max")
         << "\", \"bucket_width\": " << row.bucket_width << ", \"buckets\": [";
@@ -186,44 +67,16 @@ void WriteTimeSeriesJson(std::ostream& out,
   out << "\n]}\n";
 }
 
-namespace {
-
-template <typename WriteFn>
-void WriteToFile(const std::string& path, const char* what, WriteFn&& write) {
-  std::ofstream out{path};
-  DCN_REQUIRE(out.good(), std::string{"cannot open "} + what +
-                              " output file: " + path);
-  write(out);
-  out.flush();
-  DCN_REQUIRE(out.good(), std::string{"failed writing "} + what +
-                              " output file: " + path);
-}
-
-}  // namespace
-
 void WriteTimeSeriesCsvFile(const std::string& path) {
   const std::vector<TimeSeriesRow> rows = TakeTimeSeriesSnapshot();
-  WriteToFile(path, "time-series CSV",
-              [&](std::ostream& out) { WriteTimeSeriesCsv(out, rows); });
+  WriteFile(path, "time-series CSV",
+            [&](std::ostream& out) { WriteTimeSeriesCsv(out, rows); });
 }
 
 void WriteTimeSeriesJsonFile(const std::string& path) {
   const std::vector<TimeSeriesRow> rows = TakeTimeSeriesSnapshot();
-  WriteToFile(path, "time-series JSON",
-              [&](std::ostream& out) { WriteTimeSeriesJson(out, rows); });
+  WriteFile(path, "time-series JSON",
+            [&](std::ostream& out) { WriteTimeSeriesJson(out, rows); });
 }
-
-namespace detail {
-
-void ResetTimeSeriesRegistry() {
-  TsRegistry& reg = Reg();
-  std::lock_guard<std::mutex> lock{reg.mutex};
-  reg.series.clear();
-  reg.ids.clear();
-  reg.shards.clear();
-  ++reg.epoch;
-}
-
-}  // namespace detail
 
 }  // namespace dcn::obs

@@ -1,82 +1,73 @@
-// Fixed-width-bucket time series for the flight recorder (obs/flight.h):
-// named integer series over simulated time, sharded per thread and merged in
-// deterministic (registration order x shard creation order) order — the same
-// contract obs/obs.h gives counters and histograms.
+// Fixed-width windows over simulated time: the one window rule every
+// windowed producer shares (the flight recorder's time series, the health
+// monitor, the sharded packet engine's window matrices), plus the
+// time-series rows the flight recorder (obs/flight.h) keeps per run and
+// their CSV/JSON export.
 //
-// A series is registered by name with a merge kind and a bucket width (in
-// whatever time unit the recorder uses — the simulators record simulated
-// time). Record(time, value) folds `value` into bucket floor(time / width):
+// A series has a merge kind and a bucket width (in whatever time unit the
+// recorder uses — the simulators record simulated time). Record(row, time,
+// value) folds `value` into bucket WindowOf(time, width):
 //   * kSum — bucket accumulates the sum (per-link transmit counts,
 //     utilization numerators);
 //   * kMax — bucket keeps the maximum (queue depths, in-flight packets).
-// Both folds are order-free over exact integers, so the merged buckets are
-// bit-identical at any DCN_THREADS. Values must be non-negative (kMax merges
-// against an implicit 0 for buckets a shard never touched).
+// Values must be non-negative (kMax buckets start at 0).
 //
 // Edge cases are defined, not accidental: an event exactly on a bucket
 // boundary t == k*width lands in bucket k (half-open buckets
 // [k*width, (k+1)*width)); a run shorter than one bucket produces a single
 // partial bucket; the final bucket of any run is partial unless the horizon
-// divides evenly. Negative times clamp to bucket 0.
+// divides evenly. Negative times land in window 0, and indices clamp to
+// kMaxWindowIndex so a wild timestamp cannot exhaust memory.
 //
-// Unlike Counter/Gauge/Histogram handles, TimeSeries handles are PER RUN:
-// obs::Reset() clears the whole registry (names and data), because series
-// names embed the flight-recorder run id. Never cache a TimeSeries& in a
-// function-local static.
+// Series are per-run state of a flight Recorder: written only through it, on
+// the run's thread, named "run<id>/<sim>/...", and cleared with the runs by
+// obs::Reset().
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace dcn::obs {
 
 enum class SeriesKind : std::uint8_t { kSum, kMax };
 
-class TimeSeries {
- public:
-  // Folds `value` into the bucket containing `time` on the calling thread's
-  // shard. Values must be >= 0; bucket indices clamp to kMaxBucketIndex so a
-  // wild timestamp cannot exhaust memory.
-  void Record(double time, std::int64_t value);
+inline constexpr std::uint32_t kMaxWindowIndex = (1u << 22) - 1;
 
-  static constexpr std::size_t kMaxBucketIndex = (1u << 22) - 1;
-
- private:
-  friend TimeSeries& GetTimeSeries(std::string_view name, SeriesKind kind,
-                                   double bucket_width);
-  TimeSeries(std::size_t id, SeriesKind kind, double bucket_width)
-      : id_(id), kind_(kind), bucket_width_(bucket_width) {}
-  std::size_t id_;
-  SeriesKind kind_;
-  double bucket_width_;
-};
-
-// Registers (or finds) the series named `name`. Re-registration must agree
-// on kind and bucket width; a mismatch throws InvalidArgument. bucket_width
-// must be positive.
-TimeSeries& GetTimeSeries(std::string_view name, SeriesKind kind,
-                          double bucket_width);
+// Window attribution rule shared by every producer: an event at `time`
+// belongs to window floor(time / width), with negative (and NaN) times in
+// window 0 and indices clamped to kMaxWindowIndex. `width` must be > 0.
+// Serial and sharded engines call this one function, so boundary events land
+// in the same window.
+inline std::uint32_t WindowOf(double time, double width) {
+  if (!(time > 0.0)) return 0;
+  const double window = time / width;  // positive: truncation is the floor
+  return window >= static_cast<double>(kMaxWindowIndex)
+             ? kMaxWindowIndex
+             : static_cast<std::uint32_t>(window);
+}
 
 struct TimeSeriesRow {
   std::string name;
   SeriesKind kind = SeriesKind::kSum;
   double bucket_width = 0.0;
-  // Merged buckets, index 0 = [0, width). Trailing buckets a shard never
-  // touched are absent; untouched interior buckets read 0.
+  // Buckets, index 0 = [0, width). Trailing buckets never touched are
+  // absent; untouched interior buckets read 0.
   std::vector<std::int64_t> buckets;
 };
 
-// Merged view of every registered series, in registration order. Call
-// outside parallel regions (the pool's region-completion sync is the
-// happens-before edge for shard writes, as with obs::TakeSnapshot).
+// Folds `value` (>= 0) into the bucket of `row` that contains `time`.
+void Record(TimeSeriesRow& row, double time, std::int64_t value);
+
+// Every flight run's series: runs in run-id order, each run's series in
+// first-touch order (defined in obs/flight.cc, next to the run store). Call
+// outside any active run.
 std::vector<TimeSeriesRow> TakeTimeSeriesSnapshot();
 
 // Long-format CSV: series,kind,bucket_width,bucket,t_start,value — one row
-// per (series, bucket), series in registration order. Series with no data
-// are skipped.
+// per (series, bucket), series in snapshot order. Series with no data are
+// skipped.
 void WriteTimeSeriesCsv(std::ostream& out,
                         const std::vector<TimeSeriesRow>& rows);
 void WriteTimeSeriesCsvFile(const std::string& path);
@@ -85,11 +76,5 @@ void WriteTimeSeriesCsvFile(const std::string& path);
 void WriteTimeSeriesJson(std::ostream& out,
                          const std::vector<TimeSeriesRow>& rows);
 void WriteTimeSeriesJsonFile(const std::string& path);
-
-namespace detail {
-// Clears the whole registry — names, handles, and shard data. Called by
-// obs::Reset(); outstanding TimeSeries handles become invalid.
-void ResetTimeSeriesRegistry();
-}  // namespace detail
 
 }  // namespace dcn::obs

@@ -3,40 +3,15 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <ostream>
 #include <sstream>
 
-#include "common/error.h"
+#include "obs/export.h"
 
 namespace dcn::obs {
 
 namespace {
-
-// JSON string escaping for the small character set that can appear in metric
-// and thread names (quotes, backslashes, control characters).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // Microseconds with nanosecond precision, as a decimal literal.
 std::string Us(std::uint64_t ns) {
@@ -233,11 +208,9 @@ void WriteChromeTraceFile(const std::string& path) {
   const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
   const std::vector<monitor::MonitorRunSnapshot> monitors =
       monitor::SnapshotRuns();
-  std::ofstream out{path};
-  DCN_REQUIRE(out.good(), "cannot open trace output file: " + path);
-  WriteChromeTrace(out, snapshot, runs, monitors);
-  out.flush();
-  DCN_REQUIRE(out.good(), "failed writing trace output file: " + path);
+  WriteFile(path, "trace", [&](std::ostream& out) {
+    WriteChromeTrace(out, snapshot, runs, monitors);
+  });
 }
 
 }  // namespace dcn::obs

@@ -116,8 +116,8 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   BroadcastSimResult result;
 
   // Mid-run faults + online monitor (sim/failures.h, obs/monitor.h): same
-  // drain-then-dead capacity semantics and floor(time / width) window
-  // attribution as sim/packetsim.cc. Neither touches `rng`.
+  // drain-then-dead capacity semantics and obs::WindowOf window attribution
+  // as sim/packetsim.cc. Neither touches `rng`.
   const std::size_t link_count = graph.EdgeCount() * 2;
   const std::vector<LinkCapOp> fault_ops =
       config.faults.Empty()

@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "obs/monitor.h"
+#include "obs/timeseries.h"
 #include "topology/topology.h"
 
 namespace dcn::sim {
@@ -131,7 +132,7 @@ class LinkHealthHarness {
 
   // Window index for an event time (may be >= window_count past the grid).
   std::uint32_t WindowIndex(double time) const {
-    return obs::monitor::WindowOf(time, width_);
+    return obs::WindowOf(time, width_);
   }
 
   // Serial engines: bump the current window's counters for one event.

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
+#include "obs/timeseries.h"
 
 namespace dcn::sim {
 
@@ -356,7 +357,7 @@ PacketSimResult RunPacketSimSerialImpl(
   std::size_t fault_cursor = 0;
 
   // Online health monitor (obs/monitor.h): per-link tx/drop counts bucketed
-  // into fixed windows by floor(time / width) — the same attribution rule the
+  // into fixed windows by obs::WindowOf — the same attribution rule the
   // sharded engine uses — and stepped at window boundaries. Observational
   // only; inactive unless config.monitor.enabled.
   LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
@@ -685,7 +686,7 @@ PacketSimResult RunPacketSimMultipathSharded(
   // reads); the coordinator steps a window's detectors once no remaining
   // event can touch it — every future event's time is >= `next`, so windows
   // strictly before WindowOf(next) are final. Window attribution uses the
-  // same floor(time / width) rule as the serial engine.
+  // same obs::WindowOf rule as the serial engine.
   LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
   const bool mon_on = mon.on();
   const double mon_width = mon_on ? mon.width() : 1.0;
@@ -820,7 +821,7 @@ PacketSimResult RunPacketSimMultipathSharded(
       const std::uint32_t safe =
           next == kNever
               ? mon_windows
-              : std::min(mon_windows, obs::monitor::WindowOf(next, mon_width));
+              : std::min(mon_windows, obs::WindowOf(next, mon_width));
       while (mon.Stepped() < safe) {
         const auto w = static_cast<std::size_t>(mon.Stepped());
         mon.StepFrom(win_tx.data() + w * link_count,
@@ -847,7 +848,7 @@ PacketSimResult RunPacketSimMultipathSharded(
       if (store.Size(e.link) >= cap_limit) {
         if (pool[id].measured) ++m.dropped;
         if (mon_on) {
-          const std::uint32_t w = obs::monitor::WindowOf(e.time, mon_width);
+          const std::uint32_t w = obs::WindowOf(e.time, mon_width);
           if (w < mon_windows) {
             ++win_drop[static_cast<std::size_t>(w) * link_count + e.link];
           }
@@ -939,7 +940,7 @@ PacketSimResult RunPacketSimMultipathSharded(
           const std::uint32_t id = store.PopFront(e.link);
           DCN_ASSERT(id == e.id);
           if (mon_on) {
-            const std::uint32_t w = obs::monitor::WindowOf(e.time, mon_width);
+            const std::uint32_t w = obs::WindowOf(e.time, mon_width);
             if (w < mon_windows) {
               ++win_tx[static_cast<std::size_t>(w) * link_count + e.link];
             }

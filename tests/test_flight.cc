@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -34,7 +36,7 @@ using graph::NodeKind;
 using routing::Route;
 
 // Every test starts with the recorder disabled and an empty run store;
-// obs::Reset() also clears the time-series registry and restarts run ids.
+// obs::Reset() clears the runs with their time series and restarts run ids.
 class FlightTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -358,15 +360,33 @@ TEST_F(FlightTest, BroadcastSimRecordsCopiesAndStaysIdentical) {
 TEST_F(FlightTest, ResetRestartsRunIds) {
   Config config;
   config.fct = true;
+  config.bucket_width = 10.0;
   Enable(config);
-  { RunScope run{"a", 1.0}; }
-  { RunScope run{"b", 1.0}; }
+  {
+    // Run 0 opens first but touches its series last, after run 1 ran on
+    // another thread: series still come out in run-id order.
+    RunScope a{"a", 20.0};
+    ASSERT_NE(a.recorder(), nullptr);
+    std::thread other{[] {
+      RunScope b{"b", 20.0};
+      b.recorder()->InFlight(5.0, 2);
+    }};
+    other.join();
+    a.recorder()->InFlight(15.0, 3);
+  }
   std::vector<RunSnapshot> runs = TakeRunsSnapshot();
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].run, 0);
   EXPECT_EQ(runs[1].run, 1);
+  const std::vector<TimeSeriesRow> series = TakeTimeSeriesSnapshot();
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series[0].name, "run0/a/in_flight");
+  EXPECT_EQ(series[0].buckets, (std::vector<std::int64_t>{0, 3}));
+  EXPECT_EQ(series[1].name, "run1/b/in_flight");
+  EXPECT_EQ(series[1].buckets, (std::vector<std::int64_t>{2}));
   Reset();
   EXPECT_TRUE(TakeRunsSnapshot().empty());
+  EXPECT_TRUE(TakeTimeSeriesSnapshot().empty());
   { RunScope run{"c", 1.0}; }
   runs = TakeRunsSnapshot();
   ASSERT_EQ(runs.size(), 1u);

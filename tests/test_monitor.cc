@@ -9,7 +9,8 @@
 //    bit-identical at DCN_THREADS 1/2/4/8, with every scheduled fault
 //    detected and zero false alarms on the fault-free control;
 //  * broadcast and fluid fault semantics, MatchDetections pairing, and the
-//    alerts JSON / stats block / Chrome-trace instant-event exports.
+//    alerts JSON / stats block / Chrome-trace instant-event exports;
+//  * the --alerts-json file sink fails loudly, like every other sink.
 #include "obs/monitor.h"
 
 #include <gtest/gtest.h>
@@ -17,10 +18,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/graph.h"
@@ -535,6 +539,33 @@ TEST_F(MonitorTest, AlertsSurfaceInJsonStatsAndChromeTrace) {
   // obs::Reset clears the run store.
   obs::Reset();
   EXPECT_TRUE(SnapshotRuns().empty());
+}
+
+TEST_F(MonitorTest, AlertsJsonFileWritesTheDocumentOrThrows) {
+  MonitorConfig config;
+  config.enabled = true;
+  HealthMonitor monitor{config};
+  monitor.AddEntity(EntityKind::kLink, 0);
+  monitor.AddSignal("tx", SignalDirection::kDrop);
+  monitor.Seal(2);
+  PublishRun("packetsim", 0, monitor.TakeResult());
+
+  const std::filesystem::path dir = ::testing::TempDir();
+  const std::string path = (dir / "dcn_monitor_alerts.json").string();
+  WriteAlertsJsonFile(path);
+  std::ostringstream expected;
+  WriteAlertsJson(expected, SnapshotRuns());
+  std::ifstream in{path};
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected.str() + "\n");
+  std::filesystem::remove(path);
+
+  // A path under a missing directory is an error, as for --stats-json.
+  const std::filesystem::path missing = dir / "dcn_no_such_dir";
+  ASSERT_FALSE(std::filesystem::exists(missing));
+  EXPECT_THROW(WriteAlertsJsonFile((missing / "alerts.json").string()),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -1,21 +1,26 @@
 // The obs/ determinism contract: merged counter/gauge/histogram values are
-// bit-identical at any thread count, handles survive Reset(), timers nest,
+// bit-identical at any thread count, handles (summary metrics included)
+// survive Reset(), re-registration must agree on parameters, timers nest,
 // trace capture emits per-lane monotone events — and enabling any of it
 // never changes a simulation's results.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 #include "graph/graph.h"
 #include "metrics/path_metrics.h"
 #include "obs/report.h"
+#include "obs/rollup.h"
+#include "obs/sketch.h"
 #include "obs/trace.h"
 #include "routing/route.h"
 #include "sim/packetsim.h"
@@ -172,18 +177,93 @@ TEST_F(ObsTest, TimerNestingAggregatesPerSite) {
 
 TEST_F(ObsTest, ResetZeroesValuesButKeepsHandlesAndRegistration) {
   Counter& counter = GetCounter("test/reset_me");
+  SketchMetric& sketch = GetQuantileSketch("test/reset_sketch");
+  HeavyHittersMetric& hitters = GetHeavyHitters("test/reset_hitters", 4);
+  RollupMetric& rollup = GetRollup("test/reset_rollup", LinkRollupLevels());
+  const std::array<std::int64_t, 4> groups{7, 3, 1, 0};
+
   counter.Add(41);
+  QuantileSketch latencies;
+  latencies.Add(2.5);
+  latencies.Add(9.0);
+  sketch.Merge(latencies);
+  HeavyHitters hot{4};
+  hot.Add(11, 5);
+  hitters.Merge(hot);
+  Rollup links = MakeLinkRollup();
+  links.Add(groups, 6);
+  rollup.Merge(links);
   EXPECT_EQ(counter.Value(), 41u);
+  EXPECT_EQ(sketch.Merged().Count(), 2u);
+  EXPECT_EQ(hitters.Merged().TotalWeight(), 5u);
+  EXPECT_EQ(rollup.Merged().Level(0).size(), 1u);
+
   Reset();
-  EXPECT_EQ(counter.Value(), 0u);  // handle still valid, value zeroed
+  // Handles still valid, values empty.
+  EXPECT_EQ(counter.Value(), 0u);
+  EXPECT_EQ(sketch.Merged().Count(), 0u);
+  EXPECT_TRUE(hitters.Merged().Top().empty());
+  EXPECT_EQ(hitters.Merged().TotalWeight(), 0u);
+  EXPECT_EQ(hitters.Merged().Capacity(), 4u);
+  EXPECT_TRUE(rollup.Merged().Level(0).empty());
+  EXPECT_EQ(rollup.Merged().LevelCount(), 4u);
+
+  // ... and they accept new data.
   counter.Add(1);
+  QuantileSketch one;
+  one.Add(4.0);
+  sketch.Merge(one);
+  HeavyHitters other{4};
+  other.Add(12, 2);
+  hitters.Merge(other);
+  rollup.Merge(links);
   EXPECT_EQ(counter.Value(), 1u);
-  EXPECT_EQ(&GetCounter("test/reset_me"), &counter);  // registration survives
+  EXPECT_EQ(sketch.Merged().Count(), 1u);
+  EXPECT_EQ(sketch.Merged().Max(), 4.0);
+  ASSERT_EQ(hitters.Merged().Top().size(), 1u);
+  EXPECT_EQ(hitters.Merged().Top()[0].key, 12);
+  EXPECT_EQ(rollup.Merged().Level(0).at(7).total, 6);
+
+  // Registrations survive.
+  EXPECT_EQ(&GetCounter("test/reset_me"), &counter);
+  EXPECT_EQ(&GetQuantileSketch("test/reset_sketch"), &sketch);
+  EXPECT_EQ(&GetHeavyHitters("test/reset_hitters", 4), &hitters);
+  EXPECT_EQ(&GetRollup("test/reset_rollup", LinkRollupLevels()), &rollup);
   bool found = false;
   for (const CounterRow& row : TakeSnapshot().counters) {
     found = found || row.name == "test/reset_me";
   }
   EXPECT_TRUE(found);
+  found = false;
+  for (const SketchRow& row : TakeSketchSnapshot()) {
+    found = found || row.name == "test/reset_sketch";
+  }
+  EXPECT_TRUE(found);
+  found = false;
+  for (const HeavyHittersRow& row : TakeHeavyHittersSnapshot()) {
+    found = found || row.name == "test/reset_hitters";
+  }
+  EXPECT_TRUE(found);
+  found = false;
+  for (const RollupRow& row : TakeRollupSnapshot()) {
+    found = found || row.name == "test/reset_rollup";
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST_F(ObsTest, SummaryReRegistrationMustMatchParameters) {
+  GetQuantileSketch("test/rereg_sketch", 0.01);
+  EXPECT_NO_THROW(GetQuantileSketch("test/rereg_sketch", 0.01));
+  EXPECT_THROW(GetQuantileSketch("test/rereg_sketch", 0.02), InvalidArgument);
+
+  GetHeavyHitters("test/rereg_hitters", 8);
+  EXPECT_NO_THROW(GetHeavyHitters("test/rereg_hitters", 8));
+  EXPECT_THROW(GetHeavyHitters("test/rereg_hitters", 16), InvalidArgument);
+
+  GetRollup("test/rereg_rollup", LinkRollupLevels());
+  EXPECT_NO_THROW(GetRollup("test/rereg_rollup", LinkRollupLevels()));
+  const std::vector<std::string> other_chain{"link", "node"};
+  EXPECT_THROW(GetRollup("test/rereg_rollup", other_chain), InvalidArgument);
 }
 
 TEST_F(ObsTest, TraceCaptureEmitsPerLaneMonotoneEvents) {

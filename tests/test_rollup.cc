@@ -128,11 +128,14 @@ TEST_F(RollupTest, RollupMetricIsThreadCountInvariant) {
     Reset();
     static RollupMetric& metric =
         GetRollup("test/rollup_invariance", LinkRollupLevels());
+    // Per-chunk partials merged from the pool threads, as for sketches.
     ParallelFor(3000, 11, [](std::size_t begin, std::size_t end) {
+      Rollup partial = MakeLinkRollup();
       for (std::size_t i = begin; i < end; ++i) {
         const auto link = static_cast<std::int64_t>(i % 56);
-        metric.Add(LeafGroups(link), static_cast<std::int64_t>(i % 17));
+        partial.Add(LeafGroups(link), static_cast<std::int64_t>(i % 17));
       }
+      metric.Merge(partial);
     });
     return metric.Merged();
   };

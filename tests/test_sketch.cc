@@ -129,14 +129,19 @@ TEST_F(SketchTest, MergeIsBitIdenticalInAnyOrder) {
 }
 
 TEST_F(SketchTest, SketchMetricIsThreadCountInvariant) {
+  // Each chunk builds a local partial and merges it into the metric, from
+  // whichever pool thread ran the chunk: the merged value must not depend on
+  // the thread count or the merge order.
   auto run = [](int threads) {
     SetThreadCount(threads);
     Reset();
     static SketchMetric& metric = GetQuantileSketch("test/sketch_invariance");
     ParallelFor(5000, 13, [](std::size_t begin, std::size_t end) {
+      QuantileSketch partial;
       for (std::size_t i = begin; i < end; ++i) {
-        metric.Observe(0.1 + static_cast<double>(i % 257));
+        partial.Add(0.1 + static_cast<double>(i % 257));
       }
+      metric.Merge(partial);
     });
     return metric.Merged();
   };
