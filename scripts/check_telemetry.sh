@@ -11,7 +11,11 @@
 #   * the flight sinks (--timeseries-csv/-json, --fct-csv, --fct-summary)
 #     write non-empty files, and F9's table is byte-identical with the
 #     recorder on and off (the recorder only observes);
-#   * --obs-report lists the packetsim latency sketch on stderr.
+#   * --obs-report lists the packetsim latency sketch on stderr;
+#   * a bare --alerts-json or --fct-summary prints to stderr, and a bare
+#     file sink flag (--trace-out, --stats-json, --fct-csv,
+#     --timeseries-csv, --timeseries-json) fails naming the flag — none of
+#     them writes a file.
 #
 # Usage: scripts/check_telemetry.sh [build-dir]   (default: build)
 # Outputs land in <build-dir>/telemetry/ (CI uploads them as artifacts).
@@ -119,5 +123,38 @@ python3 scripts/validate_stats.py "$OUT/f24_stats.json" \
   --expect-counter monitor/runs --expect-counter monitor/alerts_fired \
   --expect-fired
 python3 scripts/validate_trace.py "$OUT/trace_f24.json" --expect-alert
+
+echo "== bare sink flags =="
+# Run from an empty scratch directory so a sink that took a bare flag's
+# "true" as its file name would leave that file behind.
+BARE="$(mktemp -d)"
+trap 'rm -rf "$BARE"' EXIT
+BIN="$(cd "$BUILD/bench" && pwd)"
+(cd "$BARE" && "$BIN/bench_f24_detection" --threads=4 --alerts-json \
+   > /dev/null 2> alerts_stderr.json)
+python3 scripts/validate_stats.py "$BARE/alerts_stderr.json" --alerts --expect-fired
+(cd "$BARE" && "$BIN/bench_f23_shuffle" --threads=4 --fct-summary \
+   > /dev/null 2> fct_summary_stderr.txt)
+grep -q '| fluid |' "$BARE/fct_summary_stderr.txt" ||
+  fail "bare --fct-summary printed no fluid rows to stderr"
+python3 - "$BIN/bench_f23_shuffle" "$BARE" <<'EOF'
+import os
+import subprocess
+import sys
+
+bench, scratch = sys.argv[1], sys.argv[2]
+flags = ("trace-out", "stats-json", "fct-csv", "timeseries-csv", "timeseries-json")
+for flag in flags:
+    run = subprocess.run([bench, "--threads=4", f"--{flag}"], cwd=scratch,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if run.returncode == 0:
+        sys.exit(f"error: bare --{flag} was accepted")
+    if f"--{flag} needs a file" not in run.stderr:
+        sys.exit(f"error: bare --{flag} failed without naming the flag")
+written = sorted(set(os.listdir(scratch)) - {"alerts_stderr.json", "fct_summary_stderr.txt"})
+if written:
+    sys.exit(f"error: a bare sink flag wrote {written}")
+print(f"bare file-sink flags rejected by name: {', '.join(flags)}")
+EOF
 
 echo "check_telemetry.sh: every telemetry sink checks out."

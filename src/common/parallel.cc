@@ -47,6 +47,13 @@ int EnvThreads() {
 
 std::atomic<int> g_thread_override{0};  // 0 = automatic (env, then hardware)
 
+// The one rule for where a region runs: on the pool, or inline in chunk
+// order when it has one chunk, the team has one thread, or the caller is
+// already inside a region.
+bool OnPool(std::size_t num_chunks, int threads) {
+  return num_chunks > 1 && threads > 1 && !tl_in_parallel;
+}
+
 // One parallel region in flight. Workers claim chunk indices from `next`;
 // what a chunk computes depends only on its index, so the dynamic claim
 // order never affects results.
@@ -209,6 +216,10 @@ void ConfigureThreads(const CliArgs& args) {
 
 bool InParallelRegion() { return tl_in_parallel; }
 
+bool RegionRunsOnPool(std::size_t num_chunks) {
+  return OnPool(num_chunks, ThreadCount());
+}
+
 SpinBarrier::SpinBarrier(int parties) : parties_(parties) {
   DCN_REQUIRE(parties >= 1, "SpinBarrier needs at least one party");
 }
@@ -285,7 +296,7 @@ void RunChunks(std::size_t num_chunks, const std::function<void(std::size_t)>& f
   OBS_SPAN("parallel/region");
   const int threads = ThreadCount();
   obs_threads.Set(threads);
-  if (threads <= 1 || num_chunks == 1 || tl_in_parallel) {
+  if (!OnPool(num_chunks, threads)) {
     // Serial path: same chunks, ascending order. Nested regions land here so
     // a worker can safely call into parallel-aware library code.
     const bool was_nested = tl_in_parallel;

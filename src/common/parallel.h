@@ -58,6 +58,13 @@ void ConfigureThreads(const CliArgs& args);
 // exposed so callers can assert against unintended nesting.
 bool InParallelRegion();
 
+// True when a region of `num_chunks` chunks started from this thread right
+// now would go to the pool, so its chunks may run concurrently; false when
+// it would run them inline, in order: one chunk, one thread, or a caller
+// already inside a region. Lets chunks that share words choose atomic
+// updates only when they need them.
+bool RegionRunsOnPool(std::size_t num_chunks);
+
 namespace detail {
 // Runs fn(chunk_index) for every chunk in [0, num_chunks); chunks are claimed
 // dynamically by the pool workers plus the calling thread. Blocks until all

@@ -11,22 +11,52 @@
 // sweeps comes from.
 //
 // The kernel is direction-optimizing: sparse levels run top-down (scatter the
-// frontier words of active nodes to their neighbors, tracking touched nodes
-// so the claim pass is O(frontier edges), not O(V)), dense levels run
-// bottom-up (each still-unfinished node gathers its neighbors' frontier words
-// branchlessly — on these low-degree topologies an early-exit test costs more
-// than the one or two extra ORs it saves). The switch is keyed on frontier
-// size against the shrinking not-yet-finished node set — a pure function of
-// the traversal state — and both directions compute the identical next
-// frontier, so results never depend on the direction taken.
+// frontier words of active nodes to their neighbors, marking each touched
+// node in a one-bit-per-node bitmap, then claim the touched nodes by walking
+// that bitmap word by word — O(V/64 + touched), ascending, no sort), dense
+// levels run bottom-up (each still-unfinished node gathers its neighbors'
+// frontier words branchlessly — on these low-degree topologies an early-exit
+// test costs more than the one or two extra ORs it saves). The switch is
+// keyed on frontier size against the shrinking not-yet-finished node set — a
+// pure function of the traversal state — and both directions compute the
+// identical next frontier, so results never depend on the direction taken.
+//
+// Where the parallelism goes. A sweep with many source blocks runs the blocks
+// in parallel (ParallelMapReduce, one block per chunk) and each block's levels
+// inline. A sweep of a single block — the symmetry-reduced exact stats use
+// one source per role, so one block even at millions of servers — would leave
+// every core but one idle that way, so its block runs on the calling thread
+// and every level is split into fixed chunks of kLevelChunk items that go to
+// the pool:
+//   * bottom-up: chunks of the unfinished list (of all node ids on the first
+//     bottom-up level, which builds the list). A node writes only its own
+//     seen/next words and reads only the current frontier;
+//   * top-down: the scatter runs over chunks of the frontier list, OR-ing into
+//     next words and the touched bitmap, and the claim over ranges of bitmap
+//     words, each range owning its nodes' words;
+//   * both: the new frontier is counted and collected per range of bitmap
+//     words, and the old one retired per chunk of the frontier list.
+// Chunks running concurrently OR shared words with relaxed atomics (OR is
+// order-free); chunks running inline — one chunk, one thread, or a level
+// nested inside a block-parallel sweep — use plain ORs, which cost a fraction
+// of an atomic. `visit` alone stays on the calling thread, so callers fold
+// their aggregates without synchronization.
 //
 // Determinism contract: distances and visit callbacks are a pure function of
-// (graph, sources, failures). The per-level visit order is ascending node id,
-// all lane combination is bitwise OR (order-free), and batch-parallel callers
+// (graph, sources, failures). Chunk bounds depend only on the number of items
+// a level splits, never on the thread count; all lane combination is bitwise
+// OR; each gather chunk compacts its surviving unfinished entries in place
+// and the chunks are concatenated in chunk order; each range of bitmap words
+// writes its frontier nodes at the offset the ranges before it fix, so the
+// new frontier lists in ascending node id; and the calling thread calls
+// `visit` once per node, in that order. Block-parallel callers
 // (metrics/path_metrics.cc) split sources into fixed 64-lane blocks merged in
-// block order via ParallelMapReduce — results are bit-identical for any
-// thread count. tests/test_msbfs.cc pins MS-BFS distances to per-source
-// BFS() on every topology family, with and without failures.
+// block order via ParallelMapReduce — results, and the region and chunk
+// counters, are bit-identical for any thread count. tests/test_msbfs.cc pins
+// MS-BFS distances to per-source BFS() on every topology family, with and
+// without failures, and on a graph whose levels span many chunks;
+// tests/test_cube_oracle.cc pins the sweeps to a closed form of the cube
+// distances.
 //
 // The kernel and the sweep aggregates are templates over any TraversalGraph
 // (graph/implicit.h): a CsrView, or an implicit topology whose neighbors are
@@ -41,10 +71,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -68,12 +101,82 @@ namespace msbfs_detail {
 // 6 beat 2/4/16/32 with a shallow optimum.
 inline constexpr std::size_t kBottomUpDivisor = 6;
 
+// Items per level chunk: list entries, or nodes of the touched bitmap (the
+// claim's chunks are kLevelChunk / 64 words). A constant, so a level's chunk
+// bounds depend only on how many items it splits. Large enough that a chunk
+// outweighs handing it to the pool, and that every level of the
+// few-thousand-server graphs the block-parallel sweeps cover fits one chunk.
+inline constexpr std::size_t kLevelChunk = std::size_t{1} << 15;
+inline constexpr std::size_t kLevelChunkWords = kLevelChunk / 64;
+
 // Applies `fn(lane)` to every set bit of `word`.
 template <typename Fn>
 void ForEachLane(std::uint64_t word, Fn&& fn) {
   while (word != 0) {
     fn(static_cast<std::size_t>(std::countr_zero(word)));
     word &= word - 1;
+  }
+}
+
+inline std::uint64_t NodeBit(NodeId node) {
+  return std::uint64_t{1} << (static_cast<std::size_t>(node) % 64);
+}
+
+// ORs `bits` into `slot`. Chunks running concurrently (Shared =
+// std::true_type) share destination words, so they OR with a relaxed atomic —
+// OR is order-free and the region's join publishes the result — and skip it
+// when the bits are already there. Inline chunks use a plain OR: an atomic
+// costs several times as much with no other thread to race.
+template <typename Shared>
+void OrInto(std::uint64_t& slot, std::uint64_t bits) {
+  if constexpr (Shared::value) {
+    std::atomic_ref<std::uint64_t> ref{slot};
+    if ((ref.load(std::memory_order_relaxed) & bits) != bits) {
+      ref.fetch_or(bits, std::memory_order_relaxed);
+    }
+  } else {
+    slot |= bits;
+  }
+}
+
+// Runs body(shared, chunk, begin, end) over [0, items) in fixed chunks of
+// `chunk` items. One chunk runs directly; more go through ParallelFor, which
+// hands them to the pool unless this thread is already inside a region or
+// the pool has one thread. `shared` is std::true_type exactly when chunks
+// may run concurrently.
+template <typename Body>
+void ForEachLevelChunk(std::size_t items, std::size_t chunk, Body&& body) {
+  const std::size_t chunks = ChunkCount(items, chunk);
+  const auto run = [&](auto shared) {
+    ParallelFor(items, chunk, [&](std::size_t begin, std::size_t end) {
+      body(shared, begin / chunk, begin, end);
+    });
+  };
+  if (chunks == 1) {
+    body(std::false_type{}, 0, 0, items);
+  } else if (RegionRunsOnPool(chunks)) {
+    run(std::true_type{});
+  } else {
+    run(std::false_type{});
+  }
+}
+
+// Calls fn(neighbor) for each neighbor of `node` a traversal may enter: all
+// of them, or under `failures` those across a live link to a live node
+// (implicit graphs carry node failures only).
+template <TraversalGraph G, typename Fn>
+void ForEachLiveNeighbor(const G& g, const FailureSet* failures, NodeId node,
+                         Fn&& fn) {
+  if (failures == nullptr) {
+    g.ForEachNeighbor(node, fn);
+  } else if constexpr (HasAdjacencySpans<G>) {
+    for (const HalfEdge& half : g.Neighbors(node)) {
+      if (failures->HalfEdgeUsable(half)) fn(half.to);
+    }
+  } else {
+    g.ForEachNeighbor(node, [&](const NodeId nb) {
+      if (!failures->NodeDead(nb)) fn(nb);
+    });
   }
 }
 }  // namespace msbfs_detail
@@ -90,12 +193,13 @@ inline std::uint64_t MsBfsLaneMask(std::size_t lanes) {
 //
 //   visit(d, node, bits)
 //
-// exactly once, where bit j of `bits` is set iff sources[j] first reaches
-// `node` at distance d. Levels are visited in increasing order; within a
-// level, nodes in ascending id order. Duplicate sources share a node and are
-// reported together; a source dead under `failures` never seeds its lane (its
-// bit appears in no callback). After the call ws.SeenWord(node) holds the
-// union of all levels' bits — the per-lane reachability readout.
+// exactly once, on the calling thread, where bit j of `bits` is set iff
+// sources[j] first reaches `node` at distance d. Levels are visited in
+// increasing order; within a level, nodes in ascending id order. Duplicate
+// sources share a node and are reported together; a source dead under
+// `failures` never seeds its lane (its bit appears in no callback). After the
+// call ws.SeenWord(node) holds the union of all levels' bits — the per-lane
+// reachability readout.
 //
 // With `failures`, traversal skips dead nodes/links exactly like the
 // single-source BfsDistances; direction optimization is disabled because the
@@ -107,6 +211,9 @@ template <TraversalGraph G, typename Visit>
 void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
                     MsBfsWorkspace& ws, Visit&& visit,
                     const FailureSet* failures = nullptr) {
+  using msbfs_detail::kLevelChunk;
+  using msbfs_detail::NodeBit;
+  using msbfs_detail::OrInto;
   DCN_REQUIRE(sources.size() <= kMsBfsLanes,
               "MultiSourceBfs batch exceeds 64 lanes");
   if constexpr (!HasAdjacencySpans<G>) {
@@ -114,8 +221,10 @@ void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
                 "implicit graphs have no edge ids; only node failures apply");
   }
   const std::size_t nodes = g.NodeCount();
+  const std::size_t words = (nodes + 63) / 64;
   ws.Begin(nodes);
   std::uint64_t* const seen = ws.Seen();
+  std::uint64_t* const touched = ws.Touched();
   // `cur` is the current level's frontier, `nxt` the one being built; they
   // rotate by pointer swap, with the retired frontier zeroed through the
   // outgoing active list — no O(V) pass per level.
@@ -123,11 +232,11 @@ void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
   std::uint64_t* nxt = ws.Next();
   std::vector<NodeId>* active = &ws.Active();
   std::vector<NodeId>* spare = &ws.Spare();
-  std::vector<NodeId>& candidates = ws.Candidates();
-  // Nodes still missing at least one live lane, ascending, built lazily on
-  // the first bottom-up level and compacted as lanes settle. Its size bounds
-  // the useful bottom-up work, so it also drives the direction switch.
+  // Nodes still missing at least one live lane, ascending, built on the
+  // first bottom-up level and compacted as lanes settle. Its size bounds the
+  // useful bottom-up work, so it also drives the direction switch.
   std::vector<NodeId>& unfinished = ws.Unfinished();
+  std::vector<std::size_t>& kept = ws.ChunkCounts();
   bool unfinished_built = false;
   std::size_t unfinished_size = nodes;
 
@@ -166,95 +275,156 @@ void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
   bool obs_prev_bottom_up = false;
 
   for (int level = 1; !active->empty(); ++level) {
-    spare->clear();
+    const std::span<const NodeId> front{*active};
     const bool bottom_up =
-        failures == nullptr && active->size() * msbfs_detail::kBottomUpDivisor >
-                                   unfinished_size;
+        failures == nullptr &&
+        front.size() * msbfs_detail::kBottomUpDivisor > unfinished_size;
     (bottom_up ? obs_bu : obs_td).Add(1);
     if (level > 1 && bottom_up != obs_prev_bottom_up) obs_switches.Add(1);
     obs_prev_bottom_up = bottom_up;
-    obs_frontier.Add(std::bit_width(active->size()));
+    obs_frontier.Add(std::bit_width(front.size()));
     if (bottom_up) {
-      if (!unfinished_built) {
-        for (NodeId node = 0; static_cast<std::size_t>(node) < nodes; ++node) {
-          if ((live & ~seen[node]) != 0) unfinished.push_back(node);
-        }
-        unfinished_built = true;
-      }
       // Gather: every node still missing lanes pulls the frontier words of
-      // all its neighbors (branchless; degrees here are small). The claim is
-      // fused in — `nxt` and `seen` of other nodes are never read here, so
-      // settling in place is safe — and nodes drop out of the unfinished
-      // list (stably, preserving ascending order) as they fill.
-      std::size_t out = 0;
-      for (const NodeId node : unfinished) {
-        const std::uint64_t miss = live & ~seen[node];
-        if (miss == 0) continue;
-        std::uint64_t acc = 0;
-        g.ForEachNeighbor(node, [&](const NodeId nb) { acc |= cur[nb]; });
-        const std::uint64_t add = acc & miss;
-        if (add != 0) {
-          seen[node] |= add;
-          nxt[node] = add;
-          spare->push_back(node);
-          visit(level, node, add);
+      // all its neighbors (branchless; degrees here are small) and settles
+      // in place — a node writes only its own `seen`/`nxt` words and reads
+      // only `cur`, so chunks never conflict. New frontier nodes are marked
+      // in the touched bitmap (one OR per word run of a chunk); nodes still
+      // missing lanes are compacted stably to the front of their chunk.
+      const bool build = !unfinished_built;
+      const std::size_t items = build ? nodes : unfinished.size();
+      if (build) unfinished.resize(nodes);
+      kept.assign(ChunkCount(items, kLevelChunk), 0);
+      msbfs_detail::ForEachLevelChunk(
+          items, kLevelChunk,
+          [&](auto shared, std::size_t chunk, std::size_t begin,
+              std::size_t end) {
+            using Shared = decltype(shared);
+            std::size_t out = begin;
+            std::size_t mark_word = 0;
+            std::uint64_t mark_bits = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+              const NodeId node =
+                  build ? static_cast<NodeId>(i) : unfinished[i];
+              const std::uint64_t miss = live & ~seen[node];
+              if (miss == 0) continue;
+              std::uint64_t acc = 0;
+              g.ForEachNeighbor(node, [&](const NodeId nb) { acc |= cur[nb]; });
+              const std::uint64_t add = acc & miss;
+              if (add != 0) {
+                seen[node] |= add;
+                nxt[node] = add;
+                const std::size_t word = static_cast<std::size_t>(node) / 64;
+                if (word != mark_word && mark_bits != 0) {
+                  OrInto<Shared>(touched[mark_word], mark_bits);
+                  mark_bits = 0;
+                }
+                mark_word = word;
+                mark_bits |= NodeBit(node);
+              }
+              if (add != miss) unfinished[out++] = node;
+            }
+            if (mark_bits != 0) OrInto<Shared>(touched[mark_word], mark_bits);
+            kept[chunk] = out - begin;
+          });
+      // Concatenate the chunks' survivors in chunk order, in place.
+      std::size_t size = 0;
+      for (std::size_t chunk = 0; chunk < kept.size(); ++chunk) {
+        const auto first = unfinished.begin() +
+                           static_cast<std::ptrdiff_t>(chunk * kLevelChunk);
+        if (size != chunk * kLevelChunk) {
+          std::copy(first, first + static_cast<std::ptrdiff_t>(kept[chunk]),
+                    unfinished.begin() + static_cast<std::ptrdiff_t>(size));
         }
-        if ((live & ~seen[node]) != 0) unfinished[out++] = node;
+        size += kept[chunk];
       }
-      unfinished.resize(out);
-      unfinished_size = out;
+      unfinished.resize(size);
+      unfinished_built = true;
+      unfinished_size = size;
+      // Retire the old frontier (zero exactly its nonzero words); the
+      // gather read it until now.
+      msbfs_detail::ForEachLevelChunk(
+          front.size(), kLevelChunk,
+          [&](auto, std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) cur[front[i]] = 0;
+          });
     } else {
-      // Scatter: push each active node's word to all neighbors, remembering
-      // first-touched nodes so the claim pass visits only those instead of
-      // sweeping all of [0, V).
-      candidates.clear();
-      if (failures == nullptr) {
-        for (const NodeId node : *active) {
-          const std::uint64_t word = cur[node];
-          g.ForEachNeighbor(node, [&](const NodeId nb) {
-            if (nxt[nb] == 0) candidates.push_back(nb);
-            nxt[nb] |= word;
+      // Scatter: push each active node's word to every live neighbor and
+      // mark the neighbor touched. The node's own `cur` word is read only
+      // here, so it is retired on the spot.
+      msbfs_detail::ForEachLevelChunk(
+          front.size(), kLevelChunk,
+          [&](auto shared, std::size_t, std::size_t begin, std::size_t end) {
+            using Shared = decltype(shared);
+            for (std::size_t i = begin; i < end; ++i) {
+              const NodeId node = front[i];
+              const std::uint64_t word = cur[node];
+              cur[node] = 0;
+              msbfs_detail::ForEachLiveNeighbor(
+                  g, failures, node, [&](const NodeId nb) {
+                    OrInto<Shared>(nxt[nb], word);
+                    OrInto<Shared>(touched[static_cast<std::size_t>(nb) / 64],
+                                   NodeBit(nb));
+                  });
+            }
           });
-        }
-      } else if constexpr (HasAdjacencySpans<G>) {
-        for (const NodeId node : *active) {
-          const std::uint64_t word = cur[node];
-          for (const HalfEdge& half : g.Neighbors(node)) {
-            if (!failures->HalfEdgeUsable(half)) continue;
-            if (nxt[half.to] == 0) candidates.push_back(half.to);
-            nxt[half.to] |= word;
-          }
-        }
-      } else {
-        for (const NodeId node : *active) {
-          const std::uint64_t word = cur[node];
-          g.ForEachNeighbor(node, [&](const NodeId nb) {
-            if (failures->NodeDead(nb)) return;
-            if (nxt[nb] == 0) candidates.push_back(nb);
-            nxt[nb] |= word;
+      // Claim, per range of bitmap words: a touched node keeps the lanes it
+      // had not seen; one that gained none is unmarked and its word zeroed.
+      msbfs_detail::ForEachLevelChunk(
+          words, msbfs_detail::kLevelChunkWords,
+          [&](auto, std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t w = begin; w < end; ++w) {
+              const std::uint64_t marks = touched[w];
+              if (marks == 0) continue;
+              std::uint64_t claimed = marks;
+              msbfs_detail::ForEachLane(marks, [&](std::size_t bit) {
+                const std::size_t node = w * 64 + bit;
+                const std::uint64_t add = nxt[node] & ~seen[node];
+                seen[node] |= add;
+                nxt[node] = add;
+                if (add == 0) claimed &= ~(std::uint64_t{1} << bit);
+              });
+              touched[w] = claimed;
+            }
           });
-        }
-      }
-      // Claim pass over the touched nodes, ascending — hence the visit order.
-      std::sort(candidates.begin(), candidates.end());
-      for (const NodeId node : candidates) {
-        const std::uint64_t add = nxt[node] & ~seen[node];
-        if (add != 0) {
-          seen[node] |= add;
-          nxt[node] = add;
-          spare->push_back(node);
-          visit(level, node, add);
-        } else {
-          nxt[node] = 0;
-        }
-      }
     }
 
-    // Retire the old frontier (zero exactly its nonzero words) and rotate.
-    for (const NodeId node : *active) cur[node] = 0;
+    // The new frontier, ascending: each range of bitmap words counts its
+    // nodes, writes them at the offset the counts before it fix and clears
+    // its words for the next level; then the calling thread visits them in
+    // order and rotates.
+    kept.assign(ChunkCount(words, msbfs_detail::kLevelChunkWords), 0);
+    msbfs_detail::ForEachLevelChunk(
+        words, msbfs_detail::kLevelChunkWords,
+        [&](auto, std::size_t chunk, std::size_t begin, std::size_t end) {
+          std::size_t count = 0;
+          for (std::size_t w = begin; w < end; ++w) {
+            count += static_cast<std::size_t>(std::popcount(touched[w]));
+          }
+          kept[chunk] = count;
+        });
+    std::size_t frontier = 0;
+    for (std::size_t& offset : kept) {
+      frontier += std::exchange(offset, frontier);
+    }
+    spare->resize(frontier);
+    msbfs_detail::ForEachLevelChunk(
+        words, msbfs_detail::kLevelChunkWords,
+        [&](auto, std::size_t chunk, std::size_t begin, std::size_t end) {
+          NodeId* out = spare->data() + kept[chunk];
+          for (std::size_t w = begin; w < end; ++w) {
+            const std::uint64_t marks = touched[w];
+            if (marks == 0) continue;
+            touched[w] = 0;
+            msbfs_detail::ForEachLane(marks, [&](std::size_t bit) {
+              *out++ = static_cast<NodeId>(w * 64 + bit);
+            });
+          }
+        });
+    for (const NodeId node : *spare) visit(level, node, nxt[node]);
     std::swap(cur, nxt);
     std::swap(active, spare);
   }
+  ws.End();
 }
 
 // Distances (in links) from every source to every node, batching the sources
@@ -368,88 +538,94 @@ AllPairsSweepStats SweepFromSourceFn(const G& g, std::size_t source_count,
     bool connected = true;
     std::vector<std::uint64_t> at_distance;
   };
-  Partial merged = ParallelMapReduce(
-      blocks, /*chunk=*/1, Partial{},
-      [&](std::size_t begin, std::size_t end) {
-        Partial partial;
-        MsBfsScope ws;
-        std::array<NodeId, kMsBfsLanes> block{};
-        for (std::size_t b = begin; b < end; ++b) {
-          const std::size_t first = b * kMsBfsLanes;
-          const std::size_t lanes =
-              std::min(kMsBfsLanes, source_count - first);
-          for (std::size_t i = 0; i < lanes; ++i) {
-            block[i] = source_at(first + i);
-          }
-          partial.lanes += lanes;
+  const auto sweep_blocks = [&](std::size_t begin, std::size_t end) {
+    Partial partial;
+    MsBfsScope ws;
+    std::array<NodeId, kMsBfsLanes> block{};
+    for (std::size_t b = begin; b < end; ++b) {
+      const std::size_t first = b * kMsBfsLanes;
+      const std::size_t lanes =
+          std::min(kMsBfsLanes, source_count - first);
+      for (std::size_t i = 0; i < lanes; ++i) {
+        block[i] = source_at(first + i);
+      }
+      partial.lanes += lanes;
 
-          // Per-lane eccentricity via the level-word flush trick (see
-          // ServerEccentricities). The per-visit work is kept to an OR and a
-          // popcount into register accumulators; everything touching memory
-          // (histogram bucket, totals, diameter) happens once per level at
-          // the flush.
-          std::array<int, kMsBfsLanes> ecc{};
-          int current_level = 0;
-          std::uint64_t level_bits = 0;
-          std::uint64_t level_count = 0;
-          const auto flush = [&] {
-            if (level_count == 0) return;
-            ForEachLane(level_bits,
-                        [&](std::size_t lane) { ecc[lane] = current_level; });
-            const auto d = static_cast<std::size_t>(current_level);
-            if (partial.at_distance.size() <= d) {
-              partial.at_distance.resize(d + 1, 0);
-            }
-            partial.at_distance[d] += level_count;
-            partial.total += static_cast<std::int64_t>(current_level) *
-                             static_cast<std::int64_t>(level_count);
-            partial.reached += level_count;
-            partial.diameter = std::max(partial.diameter, current_level);
-          };
-          MultiSourceBfs(g, std::span<const NodeId>{block.data(), lanes}, *ws,
-                         [&](int level, NodeId node, std::uint64_t bits) {
-                           if (!g.IsServer(node)) return;
-                           if (level != current_level) {
-                             flush();
-                             current_level = level;
-                             level_bits = 0;
-                             level_count = 0;
-                           }
-                           level_bits |= bits;
-                           level_count += static_cast<std::uint64_t>(
-                               std::popcount(bits));
-                         });
-          flush();
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            partial.radius = std::min(partial.radius, ecc[lane]);
-          }
-          // Connectivity: every lane of this block must have reached every
-          // server — one word compare per server.
-          const std::uint64_t mask = MsBfsLaneMask(lanes);
-          for (std::size_t i = 0; i < g.ServerCount(); ++i) {
-            if ((ws->SeenWord(g.ServerIdAt(i)) & mask) != mask) {
-              partial.connected = false;
-              break;
-            }
-          }
+      // Per-lane eccentricity via the level-word flush trick (see
+      // ServerEccentricities). The per-visit work is kept to an OR and a
+      // popcount into register accumulators; everything touching memory
+      // (histogram bucket, totals, diameter) happens once per level at
+      // the flush.
+      std::array<int, kMsBfsLanes> ecc{};
+      int current_level = 0;
+      std::uint64_t level_bits = 0;
+      std::uint64_t level_count = 0;
+      const auto flush = [&] {
+        if (level_count == 0) return;
+        ForEachLane(level_bits,
+                    [&](std::size_t lane) { ecc[lane] = current_level; });
+        const auto d = static_cast<std::size_t>(current_level);
+        if (partial.at_distance.size() <= d) {
+          partial.at_distance.resize(d + 1, 0);
         }
-        return partial;
-      },
-      [](Partial acc, Partial partial) {
-        acc.total += partial.total;
-        acc.reached += partial.reached;
-        acc.lanes += partial.lanes;
-        acc.diameter = std::max(acc.diameter, partial.diameter);
-        acc.radius = std::min(acc.radius, partial.radius);
-        acc.connected = acc.connected && partial.connected;
-        if (acc.at_distance.size() < partial.at_distance.size()) {
-          acc.at_distance.resize(partial.at_distance.size(), 0);
+        partial.at_distance[d] += level_count;
+        partial.total += static_cast<std::int64_t>(current_level) *
+                         static_cast<std::int64_t>(level_count);
+        partial.reached += level_count;
+        partial.diameter = std::max(partial.diameter, current_level);
+      };
+      MultiSourceBfs(g, std::span<const NodeId>{block.data(), lanes}, *ws,
+                     [&](int level, NodeId node, std::uint64_t bits) {
+                       if (!g.IsServer(node)) return;
+                       if (level != current_level) {
+                         flush();
+                         current_level = level;
+                         level_bits = 0;
+                         level_count = 0;
+                       }
+                       level_bits |= bits;
+                       level_count += static_cast<std::uint64_t>(
+                           std::popcount(bits));
+                     });
+      flush();
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        partial.radius = std::min(partial.radius, ecc[lane]);
+      }
+      // Connectivity: every lane of this block must have reached every
+      // server — one word compare per server.
+      const std::uint64_t mask = MsBfsLaneMask(lanes);
+      for (std::size_t i = 0; i < g.ServerCount(); ++i) {
+        if ((ws->SeenWord(g.ServerIdAt(i)) & mask) != mask) {
+          partial.connected = false;
+          break;
         }
-        for (std::size_t d = 0; d < partial.at_distance.size(); ++d) {
-          acc.at_distance[d] += partial.at_distance[d];
-        }
-        return acc;
-      });
+      }
+    }
+    return partial;
+  };
+  const auto merge = [](Partial acc, Partial partial) {
+    acc.total += partial.total;
+    acc.reached += partial.reached;
+    acc.lanes += partial.lanes;
+    acc.diameter = std::max(acc.diameter, partial.diameter);
+    acc.radius = std::min(acc.radius, partial.radius);
+    acc.connected = acc.connected && partial.connected;
+    if (acc.at_distance.size() < partial.at_distance.size()) {
+      acc.at_distance.resize(partial.at_distance.size(), 0);
+    }
+    for (std::size_t d = 0; d < partial.at_distance.size(); ++d) {
+      acc.at_distance[d] += partial.at_distance[d];
+    }
+    return acc;
+  };
+  // A single block runs here, on the calling thread, so its levels reach the
+  // pool; as the one chunk of a ParallelMapReduce it would mark the thread
+  // nested and run them inline. The choice keys on the block count alone, so
+  // the region and chunk counters stay invariant across thread counts.
+  Partial merged =
+      blocks == 1 ? sweep_blocks(0, 1)
+                  : ParallelMapReduce(blocks, /*chunk=*/1, Partial{},
+                                      sweep_blocks, merge);
 
   stats.distance_total = merged.total;
   stats.pairs = merged.reached - merged.lanes;  // drop the distance-0 selves

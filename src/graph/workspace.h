@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -132,28 +133,22 @@ class TraversalWorkspace {
 
 // Word-packed frontier state for the 64-lane multi-source BFS
 // (graph/msbfs.h): one `uint64_t` per node in each of the seen / current /
-// next bitmaps, bit j belonging to source lane j. Unlike TraversalWorkspace,
-// slots are NOT epoch-stamped: the kernel's claim pass already touches every
-// node's word once per level, so a full O(V) zero on Begin() costs less than
-// carrying a stamp word through the per-level inner loops would. Buffers grow
-// to the largest graph seen and are then reused — steady state allocates
-// nothing.
+// next bitmaps, bit j belonging to source lane j, plus a touched bitmap with
+// one bit per node that collects each level's new frontier. Unlike
+// TraversalWorkspace, slots are NOT epoch-stamped: Begin() zeroes the seen
+// words, O(V), which costs less than carrying a stamp word through the
+// per-level inner loops would. A run that completes leaves the frontier
+// words and the touched bitmap all zero, so Begin() re-zeroes those only
+// after growth or a run that was cut short (a throwing visit callback).
+// Large arrays are zeroed in fixed chunks on the pool, which also spreads the
+// first touch of freshly grown storage over the team. Buffers grow to the
+// largest graph seen and are then reused — steady state allocates nothing.
 class MsBfsWorkspace {
  public:
-  void Begin(std::size_t nodes) {
-    if (seen_.size() < nodes) {
-      seen_.resize(nodes, 0);
-      front_.resize(nodes, 0);
-      next_.resize(nodes, 0);
-    }
-    std::fill_n(seen_.begin(), nodes, 0);
-    std::fill_n(front_.begin(), nodes, 0);
-    std::fill_n(next_.begin(), nodes, 0);
-    active_.clear();
-    spare_.clear();
-    candidates_.clear();
-    unfinished_.clear();
-  }
+  void Begin(std::size_t nodes);
+  // Called by the kernel when a run completes, its frontier words and
+  // touched bitmap zero again.
+  void End() { dirty_ = false; }
 
   // Bit j set iff source lane j of the last run reached `node`. Valid after
   // MultiSourceBfs returns; this is the reachability readout the resilience
@@ -163,28 +158,34 @@ class MsBfsWorkspace {
   }
 
   // Raw arrays for the kernel in graph/msbfs.h; sized by the last Begin().
-  std::uint64_t* Seen() { return seen_.data(); }
-  std::uint64_t* Front() { return front_.data(); }
-  std::uint64_t* Next() { return next_.data(); }
-  // Node ids whose Front() word is non-zero, maintained level by level by the
-  // kernel (doubles as its top-down scatter list). Spare() is the next
-  // level's list under construction (the two are swapped each level);
-  // Candidates() collects nodes touched by a top-down scatter so the claim
-  // pass visits only them; Unfinished() is the shrinking
-  // still-missing-some-lane list the bottom-up gather iterates.
+  std::uint64_t* Seen() { return seen_.get(); }
+  std::uint64_t* Front() { return front_.get(); }
+  std::uint64_t* Next() { return next_.get(); }
+  // Bit (node % 64) of word node / 64 marks a node the level being expanded
+  // touched; all zero between levels.
+  std::uint64_t* Touched() { return touched_.data(); }
+  // Node ids whose Front() word is non-zero, ascending, maintained level by
+  // level by the kernel (doubles as its top-down scatter list). Spare() is
+  // the next level's list under construction (the two are swapped each
+  // level); Unfinished() is the shrinking still-missing-some-lane list the
+  // bottom-up gather iterates; ChunkCounts() holds per-chunk counts or
+  // offsets for the kernel's in-order compactions.
   std::vector<NodeId>& Active() { return active_; }
   std::vector<NodeId>& Spare() { return spare_; }
-  std::vector<NodeId>& Candidates() { return candidates_; }
   std::vector<NodeId>& Unfinished() { return unfinished_; }
+  std::vector<std::size_t>& ChunkCounts() { return chunk_counts_; }
 
  private:
-  std::vector<std::uint64_t> seen_;
-  std::vector<std::uint64_t> front_;
-  std::vector<std::uint64_t> next_;
+  std::size_t capacity_ = 0;  // nodes the three word arrays hold
+  std::unique_ptr<std::uint64_t[]> seen_;
+  std::unique_ptr<std::uint64_t[]> front_;
+  std::unique_ptr<std::uint64_t[]> next_;
+  std::vector<std::uint64_t> touched_;
   std::vector<NodeId> active_;
   std::vector<NodeId> spare_;
-  std::vector<NodeId> candidates_;
   std::vector<NodeId> unfinished_;
+  std::vector<std::size_t> chunk_counts_;
+  bool dirty_ = false;
 };
 
 // Scratch arrays for the unit-capacity Dinic in graph/paths.cc: a flat arc

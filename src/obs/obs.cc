@@ -151,6 +151,54 @@ void FetchMax(std::atomic<std::int64_t>& slot, std::int64_t value) {
   }
 }
 
+// Shard folds, one per metric kind: every reader of a metric (its handle's
+// Value(), CounterValue, TakeSnapshot) merges the per-thread shards through
+// these. The caller holds the registry lock.
+std::uint64_t FoldCounter(const Registry& reg, std::size_t id) {
+  std::uint64_t total = 0;
+  for (const auto& shard : reg.shards) {
+    total += shard->counters[id].load(kRelaxed);
+  }
+  return total;
+}
+
+// The largest value any thread Set(); `set` is false when none did.
+GaugeRow FoldGauge(const Registry& reg, std::size_t id) {
+  GaugeRow row;
+  for (const auto& shard : reg.shards) {
+    if (!shard->gauge_set[id].load(kRelaxed)) continue;
+    const std::int64_t v = shard->gauge_value[id].load(kRelaxed);
+    row.value = row.set ? std::max(row.value, v) : v;
+    row.set = true;
+  }
+  return row;
+}
+
+Histogram::Snapshot FoldHistogram(const Registry& reg, std::size_t id) {
+  Histogram::Snapshot merged;
+  std::array<std::uint64_t, kHistSlots> buckets{};
+  std::int64_t max = -1;
+  for (const auto& shard : reg.shards) {
+    const HistShard* hist = shard->hists[id].get();
+    if (hist == nullptr) continue;
+    for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
+      buckets[slot] += hist->buckets[slot].load(kRelaxed);
+    }
+    merged.overflow += hist->overflow.load(kRelaxed);
+    merged.count += hist->count.load(kRelaxed);
+    merged.sum += hist->sum.load(kRelaxed);
+    max = std::max(max, hist->max.load(kRelaxed));
+  }
+  merged.max = max < 0 ? 0 : max;
+  for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
+    if (buckets[slot] != 0) {
+      merged.buckets.emplace_back(static_cast<std::int64_t>(slot),
+                                  buckets[slot]);
+    }
+  }
+  return merged;
+}
+
 // Merged rows of one summary kind, in registration order.
 template <typename Row, typename Summary>
 std::vector<Row> SummaryRows(
@@ -219,9 +267,7 @@ void Counter::Add(std::uint64_t n) {
 std::uint64_t Counter::Value() const {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> lock{reg.mutex};
-  std::uint64_t total = 0;
-  for (const auto& shard : reg.shards) total += shard->counters[id_].load(kRelaxed);
-  return total;
+  return FoldCounter(reg, id_);
 }
 
 Counter& GetCounter(std::string_view name) {
@@ -241,15 +287,8 @@ void Gauge::Set(std::int64_t value) {
 std::int64_t Gauge::Value(std::int64_t fallback) const {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> lock{reg.mutex};
-  bool any = false;
-  std::int64_t best = 0;
-  for (const auto& shard : reg.shards) {
-    if (!shard->gauge_set[id_].load(kRelaxed)) continue;
-    const std::int64_t v = shard->gauge_value[id_].load(kRelaxed);
-    best = any ? std::max(best, v) : v;
-    any = true;
-  }
-  return any ? best : fallback;
+  const GaugeRow row = FoldGauge(reg, id_);
+  return row.set ? row.value : fallback;
 }
 
 Gauge& GetGauge(std::string_view name) {
@@ -277,28 +316,7 @@ void Histogram::Add(std::int64_t value, std::uint64_t weight) {
 Histogram::Snapshot Histogram::Value() const {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> lock{reg.mutex};
-  Snapshot merged;
-  std::array<std::uint64_t, kHistSlots> buckets{};
-  std::int64_t max = -1;
-  for (const auto& shard : reg.shards) {
-    const HistShard* hist = shard->hists[id_].get();
-    if (hist == nullptr) continue;
-    for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
-      buckets[slot] += hist->buckets[slot].load(kRelaxed);
-    }
-    merged.overflow += hist->overflow.load(kRelaxed);
-    merged.count += hist->count.load(kRelaxed);
-    merged.sum += hist->sum.load(kRelaxed);
-    max = std::max(max, hist->max.load(kRelaxed));
-  }
-  merged.max = max < 0 ? 0 : max;
-  for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
-    if (buckets[slot] != 0) {
-      merged.buckets.emplace_back(static_cast<std::int64_t>(slot),
-                                  buckets[slot]);
-    }
-  }
-  return merged;
+  return FoldHistogram(reg, id_);
 }
 
 Histogram& GetHistogram(std::string_view name) {
@@ -437,48 +455,19 @@ Snapshot TakeSnapshot() {
 
   snap.counters.reserve(reg.counter_names.size());
   for (std::size_t id = 0; id < reg.counter_names.size(); ++id) {
-    CounterRow row{reg.counter_names[id], 0};
-    for (const auto& shard : reg.shards) {
-      row.value += shard->counters[id].load(kRelaxed);
-    }
-    snap.counters.push_back(std::move(row));
+    snap.counters.push_back(
+        CounterRow{reg.counter_names[id], FoldCounter(reg, id)});
   }
 
   for (std::size_t id = 0; id < reg.gauge_names.size(); ++id) {
-    GaugeRow row{reg.gauge_names[id], 0, false};
-    for (const auto& shard : reg.shards) {
-      if (!shard->gauge_set[id].load(kRelaxed)) continue;
-      const std::int64_t v = shard->gauge_value[id].load(kRelaxed);
-      row.value = row.set ? std::max(row.value, v) : v;
-      row.set = true;
-    }
+    GaugeRow row = FoldGauge(reg, id);
+    row.name = reg.gauge_names[id];
     snap.gauges.push_back(std::move(row));
   }
 
   for (std::size_t id = 0; id < reg.hist_names.size(); ++id) {
-    HistogramRow row;
-    row.name = reg.hist_names[id];
-    std::array<std::uint64_t, kHistSlots> buckets{};
-    std::int64_t max = -1;
-    for (const auto& shard : reg.shards) {
-      const HistShard* hist = shard->hists[id].get();
-      if (hist == nullptr) continue;
-      for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
-        buckets[slot] += hist->buckets[slot].load(kRelaxed);
-      }
-      row.stats.overflow += hist->overflow.load(kRelaxed);
-      row.stats.count += hist->count.load(kRelaxed);
-      row.stats.sum += hist->sum.load(kRelaxed);
-      max = std::max(max, hist->max.load(kRelaxed));
-    }
-    row.stats.max = max < 0 ? 0 : max;
-    for (std::size_t slot = 0; slot < kHistSlots; ++slot) {
-      if (buckets[slot] != 0) {
-        row.stats.buckets.emplace_back(static_cast<std::int64_t>(slot),
-                                       buckets[slot]);
-      }
-    }
-    snap.histograms.push_back(std::move(row));
+    snap.histograms.push_back(
+        HistogramRow{reg.hist_names[id], FoldHistogram(reg, id)});
   }
 
   for (std::size_t id = 0; id < reg.span_names.size(); ++id) {
@@ -513,12 +502,7 @@ std::uint64_t CounterValue(std::string_view name) {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> lock{reg.mutex};
   const auto it = reg.counter_ids.find(name);
-  if (it == reg.counter_ids.end()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& shard : reg.shards) {
-    total += shard->counters[it->second].load(kRelaxed);
-  }
-  return total;
+  return it == reg.counter_ids.end() ? 0 : FoldCounter(reg, it->second);
 }
 
 }  // namespace dcn::obs

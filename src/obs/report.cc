@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/cli.h"
+#include "common/error.h"
 #include "obs/export.h"
 #include "obs/flight.h"
 #include "obs/monitor.h"
@@ -17,11 +18,12 @@ namespace dcn::obs {
 
 namespace {
 
+// "-" (a bare --fct-summary or --alerts-json) prints to stderr.
 struct SinkConfig {
   std::string trace_path;
   std::string stats_path;
   std::string fct_path;
-  std::string fct_summary_path;  // "-" prints to stderr (bare --fct-summary)
+  std::string fct_summary_path;
   std::string timeseries_csv_path;
   std::string timeseries_json_path;
   std::string alerts_path;
@@ -30,6 +32,19 @@ struct SinkConfig {
 
 std::mutex g_sink_mutex;
 SinkConfig g_sinks;
+
+// Where a sink flag sends its output: `current` when the flag is absent,
+// else its =FILE value. A bare flag (stored as "true") means stderr ("-")
+// for the sinks that allow it and is rejected for the others, instead of
+// writing a file named "true".
+std::string SinkPath(const CliArgs& args, const std::string& flag,
+                     const std::string& current, bool bare_to_stderr = false) {
+  if (!args.Has(flag)) return current;
+  const std::string value = args.GetString(flag, "");
+  if (value != "true") return value;
+  if (bare_to_stderr) return "-";
+  throw InvalidArgument{"--" + flag + " needs a file: --" + flag + "=FILE"};
+}
 
 }  // namespace
 
@@ -226,21 +241,19 @@ void WriteStatsJsonFile(const std::string& path) {
 
 void ConfigureSinks(const CliArgs& args) {
   std::lock_guard<std::mutex> lock{g_sink_mutex};
-  g_sinks.trace_path = args.GetString("trace-out", g_sinks.trace_path);
-  g_sinks.stats_path = args.GetString("stats-json", g_sinks.stats_path);
-  g_sinks.fct_path = args.GetString("fct-csv", g_sinks.fct_path);
-  // Bare --fct-summary prints the quantile table to stderr ("-");
-  // --fct-summary=FILE writes it there. Either way the per-flow records stay
-  // off unless --fct-csv asks for them, so memory stays O(buckets) per run.
-  if (args.Has("fct-summary")) {
-    const std::string value = args.GetString("fct-summary", "");
-    g_sinks.fct_summary_path = value == "true" ? "-" : value;
-  }
+  g_sinks.trace_path = SinkPath(args, "trace-out", g_sinks.trace_path);
+  g_sinks.stats_path = SinkPath(args, "stats-json", g_sinks.stats_path);
+  g_sinks.fct_path = SinkPath(args, "fct-csv", g_sinks.fct_path);
+  // The FCT summary keeps the per-flow records off unless --fct-csv asks for
+  // them, so memory stays O(buckets) per run.
+  g_sinks.fct_summary_path = SinkPath(
+      args, "fct-summary", g_sinks.fct_summary_path, /*bare_to_stderr=*/true);
   g_sinks.timeseries_csv_path =
-      args.GetString("timeseries-csv", g_sinks.timeseries_csv_path);
+      SinkPath(args, "timeseries-csv", g_sinks.timeseries_csv_path);
   g_sinks.timeseries_json_path =
-      args.GetString("timeseries-json", g_sinks.timeseries_json_path);
-  g_sinks.alerts_path = args.GetString("alerts-json", g_sinks.alerts_path);
+      SinkPath(args, "timeseries-json", g_sinks.timeseries_json_path);
+  g_sinks.alerts_path = SinkPath(args, "alerts-json", g_sinks.alerts_path,
+                                 /*bare_to_stderr=*/true);
   g_sinks.report_to_stderr = args.GetBool("obs-report", g_sinks.report_to_stderr);
   if (!g_sinks.stats_path.empty() || g_sinks.report_to_stderr) {
     EnableSpans(true);
@@ -289,7 +302,10 @@ void FlushSinks() {
   if (!sinks.timeseries_json_path.empty()) {
     WriteTimeSeriesJsonFile(sinks.timeseries_json_path);
   }
-  if (!sinks.alerts_path.empty()) {
+  if (sinks.alerts_path == "-") {
+    monitor::WriteAlertsJson(std::cerr, monitor::SnapshotRuns());
+    std::cerr << '\n';
+  } else if (!sinks.alerts_path.empty()) {
     monitor::WriteAlertsJsonFile(sinks.alerts_path);
   }
   if (sinks.report_to_stderr) {

@@ -8,10 +8,11 @@
 //                       flight-recorder packet lanes when sampling is on
 //   --obs-report        print ReportTable() to stderr at exit (stderr so the
 //                       diff-able stdout tables stay byte-identical)
-//   --alerts-json=FILE  write the online health monitor's published runs
+//   --alerts-json[=FILE]  write the online health monitor's published runs
 //                       (obs/monitor.h: alert log + per-window recovery
-//                       aggregates) as JSON at exit; the same document is
-//                       embedded in --stats-json as the "alerts" block
+//                       aggregates) as JSON at exit, to FILE or to stderr
+//                       when bare; the same document is embedded in
+//                       --stats-json as the "alerts" block
 //
 // Flight-recorder flags (obs/flight.h); any of them enables the recorder:
 //
@@ -30,8 +31,9 @@
 //   --timeseries-csv=FILE   merged time-series buckets -> CSV at exit
 //   --timeseries-json=FILE  merged time-series buckets -> JSON at exit
 //
-// ConfigureSinks parses those flags (common/cli.h); FlushSinks writes
-// whatever was configured. bench/bench_util.h pairs the two automatically
+// ConfigureSinks parses those flags (common/cli.h); a bare flag whose sink
+// needs a FILE throws InvalidArgument naming it. FlushSinks writes whatever
+// was configured. bench/bench_util.h pairs the two automatically
 // for every experiment binary.
 #pragma once
 

@@ -16,17 +16,29 @@
 //     simulator's tie-breaks, shards and hot-link reports, so edge ids are
 //     pinned; the digests were recorded from the builders the algebra
 //     replaced.
+// It also checks the distance sweeps against a closed form of every
+// server-to-server distance (DistanceOracle below): the exact all-pairs sweep
+// over the materialized graph and the symmetry-reduced sweep over the
+// implicit one, at several thread counts, up to an instance whose BFS levels
+// span many of the kernel's fixed chunks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
+#include "metrics/path_metrics.h"
 #include "topology/abccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
+#include "topology/factory.h"
+#include "topology/implicit.h"
 
 namespace dcn {
 namespace {
@@ -237,6 +249,202 @@ TEST(CubeOracleTest, PaperClosedFormsForUniformShapes) {
   const topo::Abccc net{topo::AbcccParams{4, 3, 3}};
   EXPECT_EQ(net.ServerCount(), 512u);
   EXPECT_EQ(net.SwitchCount(), 256u + 256u);
+}
+
+// Closed-form distance between servers <a; j> and <b; j'>, in links:
+//
+//   d = 2·H + 2·x
+//
+// H is the number of digits in which a and b differ; R is the set of roles
+// that agent at least one of those levels; x is the number of crossbar hops
+// needed to visit every role in R, starting at role j and ending at role j':
+//   j != j':                 x = |R ∪ {j, j'}| - 1;
+//   j == j' and R ⊄ {j}:     x = |R \ {j}| + 1;
+//   otherwise (or m == 1):   x = 0.
+// Level l can change only at its agent role, and roles change only through
+// the crossbar; each level hop and each crossbar hop is two links.
+//
+// By digit translation every row sees the same distances, so the ordered-pair
+// histogram is `rows` times that of the sources <0; j>. Those are counted by
+// role block: h_r differing digits inside role r's block can be chosen in
+// e_{h_r}(r_l - 1 : l in block r) ways (an elementary symmetric polynomial),
+// so one pass over the vectors (h_0, ..., h_{m-1}) covers every destination.
+class DistanceOracle {
+ public:
+  explicit DistanceOracle(const PaperShape& shape) : shape_(shape) {
+    const int m = shape.M();
+    // ways_[r][h]: digit strings differing from a fixed one in exactly h
+    // levels of role r's block.
+    ways_.assign(static_cast<std::size_t>(m), std::vector<uint64_t>{1});
+    for (int l = 0; l < shape.Levels(); ++l) {
+      const auto level = static_cast<std::size_t>(l);
+      const auto other_digits = static_cast<uint64_t>(shape.radices[level] - 1);
+      std::vector<uint64_t>& ways = ways_[static_cast<std::size_t>(l / (shape.c - 1))];
+      ways.push_back(0);
+      for (std::size_t h = ways.size() - 1; h > 0; --h) ways[h] += ways[h - 1] * other_digits;
+    }
+  }
+
+  static int CrossbarHops(std::uint32_t roles, int j, int jp) {
+    const std::uint32_t own = 1u << j;
+    if (j != jp) return std::popcount(roles | own | (1u << jp)) - 1;
+    if ((roles & ~own) != 0) return std::popcount(roles & ~own) + 1;
+    return 0;
+  }
+
+  // pairs_at_distance over all ordered server pairs, plus the extremes.
+  struct Result {
+    std::vector<uint64_t> pairs_at_distance;
+    int diameter = 0;
+    int radius = 0;
+  };
+
+  Result Sweep() const {
+    const int m = shape_.M();
+    Result out;
+    std::vector<int> ecc(static_cast<std::size_t>(m), 0);
+    std::vector<std::size_t> h(static_cast<std::size_t>(m), 0);  // odometer
+    for (;;) {
+      uint64_t count = 1;
+      int differing = 0;
+      std::uint32_t roles = 0;
+      for (int r = 0; r < m; ++r) {
+        const std::size_t hr = h[static_cast<std::size_t>(r)];
+        count *= ways_[static_cast<std::size_t>(r)][hr];
+        differing += static_cast<int>(hr);
+        if (hr > 0) roles |= 1u << r;
+      }
+      for (int j = 0; j < m; ++j) {
+        for (int jp = 0; jp < m; ++jp) {
+          if (differing == 0 && j == jp) continue;  // the source itself
+          const int d = 2 * differing + 2 * CrossbarHops(roles, j, jp);
+          const auto bin = static_cast<std::size_t>(d);
+          if (out.pairs_at_distance.size() <= bin) out.pairs_at_distance.resize(bin + 1, 0);
+          out.pairs_at_distance[bin] += count * shape_.Rows();
+          int& eccentricity = ecc[static_cast<std::size_t>(j)];
+          eccentricity = std::max(eccentricity, d);
+        }
+      }
+      std::size_t r = 0;
+      while (r < h.size() && h[r] + 1 == ways_[r].size()) h[r++] = 0;
+      if (r == h.size()) break;
+      ++h[r];
+    }
+    out.diameter = *std::max_element(ecc.begin(), ecc.end());
+    out.radius = *std::min_element(ecc.begin(), ecc.end());
+    return out;
+  }
+
+ private:
+  PaperShape shape_;
+  std::vector<std::vector<uint64_t>> ways_;
+};
+
+void ExpectMatchesOracle(const metrics::ExactPathStats& got, const PaperShape& shape) {
+  const DistanceOracle::Result want = DistanceOracle{shape}.Sweep();
+  const uint64_t servers = shape.Servers();
+  uint64_t histogram_pairs = 0;
+  uint64_t total = 0;
+  for (std::size_t d = 0; d < want.pairs_at_distance.size(); ++d) {
+    histogram_pairs += want.pairs_at_distance[d];
+    total += d * want.pairs_at_distance[d];
+  }
+  ASSERT_EQ(histogram_pairs, servers * (servers - 1));
+  EXPECT_TRUE(got.connected);
+  EXPECT_EQ(got.pairs, servers * (servers - 1));
+  EXPECT_EQ(got.pairs_at_distance, want.pairs_at_distance);
+  EXPECT_EQ(got.diameter, want.diameter);
+  EXPECT_EQ(got.radius, want.radius);
+  EXPECT_EQ(got.average, static_cast<double>(total) / static_cast<double>(got.pairs));
+}
+
+// Shapes for the distance checks: multi-role with full and partial role
+// blocks, radices mixed inside a block, m == 1 and k == 0.
+std::vector<PaperShape> MixedDistanceShapes() {
+  return {PaperShape{{4, 3, 2}, 2},    PaperShape{{3, 4, 2}, 3},
+          PaperShape{{2, 3, 4, 2, 3}, 3}, PaperShape{{5, 2, 3, 2}, 3},
+          PaperShape{{2, 3, 2, 4}, 4}, PaperShape{{8, 8, 8, 4}, 3},
+          PaperShape{{3, 5}, 3} /* m == 1 */, PaperShape{{5}, 2} /* k == 0 */};
+}
+
+TEST(CubeOracleTest, OracleDiameterIsTwiceLevelsPlusRoles) {
+  // Every digit differs and every role must be crossed, ending where it
+  // started: 2(k+1) + 2m for m >= 2, 2(k+1) when the crossbar is absent.
+  for (const PaperShape& shape :
+       {Uniform(4, 3, 2), Uniform(3, 3, 3), Uniform(4, 2, 3), Uniform(4, 1, 3),
+        PaperShape{{2, 3, 4, 2, 3}, 3}, PaperShape{{3, 5}, 3}}) {
+    const int m = shape.M();
+    const int want = 2 * shape.Levels() + (m >= 2 ? 2 * m : 0);
+    EXPECT_EQ(DistanceOracle{shape}.Sweep().diameter, want);
+  }
+}
+
+TEST(CubeOracleTest, MaterializedSweepMatchesDistanceOracle) {
+  std::vector<std::pair<std::unique_ptr<topo::Topology>, PaperShape>> nets;
+  for (Pinned& p : PinnedInstances()) nets.emplace_back(std::move(p.net), p.shape);
+  for (const PaperShape& shape : MixedDistanceShapes()) {
+    nets.emplace_back(
+        std::make_unique<topo::Abccc>(topo::GeneralAbcccParams{shape.radices, shape.c}), shape);
+  }
+  // Spec radices are big-endian: r_2 = 3, r_1 = 3, r_0 = 4.
+  nets.emplace_back(topo::MakeTopology("gabccc:radices=3.3.4,c=3"), PaperShape{{4, 3, 3}, 3});
+  for (const int threads : {1, 3, 7}) {
+    SetThreadCount(threads);
+    for (const auto& [net, shape] : nets) {
+      SCOPED_TRACE(net->Describe() + " threads=" + std::to_string(threads));
+      ExpectMatchesOracle(metrics::ExactServerPathStats(*net), shape);
+    }
+  }
+  SetThreadCount(0);
+}
+
+TEST(CubeOracleTest, SymmetryReducedSweepMatchesDistanceOracle) {
+  std::vector<std::pair<topo::ImplicitCube, PaperShape>> cubes;
+  for (const PaperShape& shape :
+       {Uniform(4, 3, 2), Uniform(3, 3, 3), Uniform(4, 2, 3), Uniform(4, 1, 3)}) {
+    cubes.emplace_back(topo::ImplicitCube{topo::GeneralAbcccParams{shape.radices, shape.c}},
+                       shape);
+  }
+  cubes.emplace_back(topo::ImplicitCube::MakeBccc(4, 3), Uniform(4, 3, 2));
+  cubes.emplace_back(topo::ImplicitCube::MakeBcube(4, 3), Uniform(4, 3, 5));
+  for (const PaperShape& shape : MixedDistanceShapes()) {
+    cubes.emplace_back(topo::ImplicitCube{topo::GeneralAbcccParams{shape.radices, shape.c}},
+                       shape);
+  }
+  // 786,432 servers and 1,245,184 nodes: the sweep's wide levels span dozens
+  // of the kernel's fixed chunks, so they run on the pool.
+  cubes.emplace_back(topo::ImplicitCube::MakeAbccc(8, 5, 3), Uniform(8, 5, 3));
+  for (const int threads : {1, 3, 7}) {
+    SetThreadCount(threads);
+    for (const auto& [cube, shape] : cubes) {
+      SCOPED_TRACE(cube.Describe() + " threads=" + std::to_string(threads));
+      ASSERT_EQ(cube.ServerCount(), shape.Servers());
+      ExpectMatchesOracle(metrics::SymmetryReducedPathStats(cube), shape);
+    }
+  }
+  SetThreadCount(0);
+}
+
+TEST(CubeOracleTest, DistanceOracleReproducesScaleTable) {
+  // S1 (results/bench_scale.txt) at 1-5 million servers: diameter and the
+  // printed three-decimal ASPL, from the closed form alone.
+  struct Row {
+    PaperShape shape;
+    int diameter;
+    double aspl;
+  };
+  for (const Row& row : {Row{Uniform(16, 4, 6), 10, 9.375}, Row{Uniform(16, 4, 4), 14, 12.371},
+                         Row{Uniform(16, 4, 3), 16, 13.979}, Row{Uniform(16, 4, 2), 20, 17.375}}) {
+    const DistanceOracle::Result got = DistanceOracle{row.shape}.Sweep();
+    uint64_t pairs = 0;
+    uint64_t total = 0;
+    for (std::size_t d = 0; d < got.pairs_at_distance.size(); ++d) {
+      pairs += got.pairs_at_distance[d];
+      total += d * got.pairs_at_distance[d];
+    }
+    EXPECT_EQ(got.diameter, row.diameter);
+    EXPECT_NEAR(static_cast<double>(total) / static_cast<double>(pairs), row.aspl, 5e-4);
+  }
 }
 
 }  // namespace

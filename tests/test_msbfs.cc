@@ -6,7 +6,8 @@
 // graphs, and batch sizes straddling the 64-lane word width (1, 63, 64, 65,
 // and all nodes). The aggregate sweep (AllPairsDistanceSweep) is pinned to a
 // per-source reference accumulation, and determinism is re-checked across
-// thread counts.
+// thread counts — including on a graph whose levels span several of the
+// kernel's fixed chunks, where the levels themselves run on the pool.
 #include "graph/msbfs.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/bfs.h"
+#include "obs/obs.h"
 #include "topology/abccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
@@ -239,13 +241,14 @@ TEST(MsBfsTest, ServerEccentricitiesMatchPerSourceMax) {
   }
 }
 
-// Reference accumulation for the aggregate sweep: the per-source loops the
-// MS-BFS version replaced.
-AllPairsSweepStats ReferenceSweep(const Graph& g) {
+// Reference accumulation for the aggregate sweep from the given server
+// sources: the per-source loops the MS-BFS version replaced.
+AllPairsSweepStats ReferenceSweep(const Graph& g,
+                                  std::span<const NodeId> sources) {
   AllPairsSweepStats ref;
   const auto servers = g.Servers();
   ref.radius = std::numeric_limits<int>::max();
-  for (const NodeId src : servers) {
+  for (const NodeId src : sources) {
     const std::vector<int> dist = BfsDistances(g, src);
     int ecc = 0;
     std::size_t reached = 0;
@@ -266,8 +269,31 @@ AllPairsSweepStats ReferenceSweep(const Graph& g) {
     ref.radius = std::min(ref.radius, ecc);
     if (reached != servers.size()) ref.connected = false;
   }
-  if (servers.empty()) ref.radius = 0;
+  if (sources.empty()) ref.radius = 0;
   return ref;
+}
+
+AllPairsSweepStats ReferenceSweep(const Graph& g) {
+  return ReferenceSweep(g, g.Servers());
+}
+
+void ExpectSweepEq(const AllPairsSweepStats& got, const AllPairsSweepStats& ref,
+                   const std::string& label) {
+  EXPECT_EQ(got.distance_total, ref.distance_total) << label;
+  EXPECT_EQ(got.pairs, ref.pairs) << label;
+  EXPECT_EQ(got.diameter, ref.diameter) << label;
+  EXPECT_EQ(got.radius, ref.radius) << label;
+  EXPECT_EQ(got.connected, ref.connected) << label;
+  // The histogram may carry trailing/leading zero buckets; compare padded.
+  auto padded = [](std::vector<std::uint64_t> h, std::size_t n) {
+    h.resize(std::max(h.size(), n), 0);
+    return h;
+  };
+  const std::size_t buckets =
+      std::max(got.pairs_at_distance.size(), ref.pairs_at_distance.size());
+  EXPECT_EQ(padded(got.pairs_at_distance, buckets),
+            padded(ref.pairs_at_distance, buckets))
+      << label;
 }
 
 TEST(MsBfsTest, AllPairsSweepMatchesReference) {
@@ -278,23 +304,7 @@ TEST(MsBfsTest, AllPairsSweepMatchesReference) {
     graphs.emplace_back("random-" + std::to_string(round), RandomGraph(rng));
   }
   for (const auto& [name, g] : graphs) {
-    const AllPairsSweepStats got = AllPairsDistanceSweep(g.Csr());
-    const AllPairsSweepStats ref = ReferenceSweep(g);
-    EXPECT_EQ(got.distance_total, ref.distance_total) << name;
-    EXPECT_EQ(got.pairs, ref.pairs) << name;
-    EXPECT_EQ(got.diameter, ref.diameter) << name;
-    EXPECT_EQ(got.radius, ref.radius) << name;
-    EXPECT_EQ(got.connected, ref.connected) << name;
-    // The histogram may carry trailing/leading zero buckets; compare padded.
-    auto padded = [](std::vector<std::uint64_t> h, std::size_t n) {
-      h.resize(std::max(h.size(), n), 0);
-      return h;
-    };
-    const std::size_t buckets =
-        std::max(got.pairs_at_distance.size(), ref.pairs_at_distance.size());
-    EXPECT_EQ(padded(got.pairs_at_distance, buckets),
-              padded(ref.pairs_at_distance, buckets))
-        << name;
+    ExpectSweepEq(AllPairsDistanceSweep(g.Csr()), ReferenceSweep(g), name);
   }
 }
 
@@ -314,6 +324,100 @@ TEST(MsBfsTest, AllPairsSweepIsThreadCountInvariant) {
         << "threads=" << threads;
   }
   SetThreadCount(0);
+}
+
+// ABCCC(8,4,3) has 151,552 nodes, several of the kernel's fixed level chunks
+// (msbfs_detail::kLevelChunk). Healthy, its bottom-up levels split the
+// unfinished list and its top-down claims split the touched bitmap; under
+// failures every level runs top-down, so the scatter of its widest levels
+// splits the frontier too. One block of sources, so the levels run on the
+// pool: results must equal per-source BFS, and the work counters must not
+// move, at any thread count.
+TEST(MsBfsTest, MultiChunkLevelsMatchBfsAtAnyThreadCount) {
+  const Graph g = topo::Abccc{topo::AbcccParams{8, 4, 3}}.Network();
+  const CsrView& csr = g.Csr();
+  ASSERT_GT(g.NodeCount(), 4 * msbfs_detail::kLevelChunk);
+  const auto servers = g.Servers();
+  const std::vector<NodeId> sources{servers[0], servers[servers.size() / 3],
+                                    servers[servers.size() / 2],
+                                    servers.back()};
+  Rng rng{20260810};
+  FailureSet failures{g};
+  for (NodeId node = 0; static_cast<std::size_t>(node) < g.NodeCount(); ++node) {
+    if (rng.NextBernoulli(0.02) &&
+        std::find(sources.begin(), sources.end(), node) == sources.end()) {
+      failures.KillNode(node);
+    }
+  }
+  for (EdgeId edge = 0; static_cast<std::size_t>(edge) < g.EdgeCount(); ++edge) {
+    if (rng.NextBernoulli(0.02)) failures.KillEdge(edge);
+  }
+
+  struct Run {
+    std::vector<int> dist, dist_failed, ecc, ecc_failed;
+    std::vector<std::uint64_t> counters;
+    std::int64_t widest_frontier_log2 = 0;
+  };
+  const std::vector<std::string> counter_names{
+      "msbfs/batches",          "msbfs/lanes",
+      "msbfs/levels_top_down",  "msbfs/levels_bottom_up",
+      "msbfs/direction_switches", "parallel/regions",
+      "parallel/chunks"};
+  const AllPairsSweepStats want_sweep = ReferenceSweep(g, sources);
+  std::vector<Run> runs;
+  for (const int threads : {1, 3, 7}) {
+    SetThreadCount(threads);
+    obs::Reset();
+    Run run;
+    run.dist = MultiSourceDistances(csr, sources);
+    run.dist_failed = MultiSourceDistances(csr, sources, &failures);
+    run.ecc = ServerEccentricities(csr, sources);
+    run.ecc_failed = ServerEccentricities(csr, sources, &failures);
+    ExpectSweepEq(DistanceSweepFromSources(csr, sources), want_sweep,
+                  "threads=" + std::to_string(threads));
+    for (const std::string& name : counter_names) {
+      run.counters.push_back(obs::CounterValue(name));
+    }
+    run.widest_frontier_log2 =
+        obs::GetHistogram("msbfs/frontier_log2").Value().max;
+    runs.push_back(std::move(run));
+  }
+  SetThreadCount(0);
+  obs::Reset();
+
+  // The widest level's frontier spans at least two chunks, and the levels
+  // went through parallel regions.
+  EXPECT_GT(std::int64_t{1} << (runs[0].widest_frontier_log2 - 1),
+            static_cast<std::int64_t>(msbfs_detail::kLevelChunk));
+  EXPECT_GT(runs[0].counters[5], 0u);
+
+  const std::size_t nodes = g.NodeCount();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const std::vector<int> healthy = BfsDistances(g, sources[i]);
+    const std::vector<int> failed = BfsDistances(g, sources[i], &failures);
+    int ecc = kUnreachable;
+    int ecc_failed = kUnreachable;
+    for (const NodeId server : servers) {
+      ecc = std::max(ecc, healthy[static_cast<std::size_t>(server)]);
+      ecc_failed =
+          std::max(ecc_failed, failed[static_cast<std::size_t>(server)]);
+    }
+    const auto row = static_cast<std::ptrdiff_t>(i * nodes);
+    for (const Run& run : runs) {
+      ASSERT_TRUE(std::equal(healthy.begin(), healthy.end(),
+                             run.dist.begin() + row))
+          << "source " << sources[i];
+      ASSERT_TRUE(std::equal(failed.begin(), failed.end(),
+                             run.dist_failed.begin() + row))
+          << "source " << sources[i] << " under failures";
+      EXPECT_EQ(run.ecc[i], ecc);
+      EXPECT_EQ(run.ecc_failed[i], ecc_failed);
+    }
+  }
+  for (const Run& run : runs) {
+    EXPECT_EQ(run.counters, runs[0].counters);
+    EXPECT_EQ(run.widest_frontier_log2, runs[0].widest_frontier_log2);
+  }
 }
 
 // A reused workspace must not leak lanes between batches of very different
