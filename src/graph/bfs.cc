@@ -13,44 +13,6 @@ void CheckSource(std::size_t node_count, NodeId src) {
 
 }  // namespace
 
-std::size_t BfsDistances(const CsrView& csr, NodeId src, TraversalWorkspace& ws,
-                         const FailureSet* failures) {
-  CheckSource(csr.NodeCount(), src);
-  ws.Begin(csr.NodeCount());
-  if (failures != nullptr && failures->NodeDead(src)) return 0;
-  std::vector<NodeId>& queue = ws.Frontier();
-  ws.Settle(src, 0);
-  queue.push_back(src);
-  if (failures == nullptr) {
-    // Distance-only sweep on the healthy graph: the all-pairs hot path. The
-    // parent-less Settle writes one word per settled node; the queue is
-    // level-ordered, so tracking the level boundary replaces a distance read
-    // per dequeued node; and the edge-blind adjacency array halves the bytes
-    // the neighbor scan touches.
-    int next = 1;
-    std::size_t level_end = queue.size();
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      if (head == level_end) {
-        ++next;
-        level_end = queue.size();
-      }
-      for (const NodeId to : csr.AdjacentNodes(queue[head])) {
-        if (ws.Settle(to, next)) queue.push_back(to);
-      }
-    }
-    return queue.size();
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId node = queue[head];
-    const int next = ws.Dist(node) + 1;
-    for (const HalfEdge& half : csr.Neighbors(node)) {
-      if (!failures->HalfEdgeUsable(half)) continue;
-      if (ws.Settle(half.to, next)) queue.push_back(half.to);
-    }
-  }
-  return queue.size();
-}
-
 std::vector<NodeId> ShortestPath(const CsrView& csr, NodeId src, NodeId dst,
                                  TraversalWorkspace& ws,
                                  const FailureSet* failures) {

@@ -3,11 +3,14 @@
 // server-centric DCN literature for diameter and path-length comparisons.
 //
 // Two tiers:
-//  * CSR + workspace overloads — the allocation-free core the hot paths use.
-//    Results land in the caller's TraversalWorkspace (read via ws.Dist());
-//    repeated sweeps on one workspace cost O(frontier) to reset, not O(V).
+//  * workspace kernels — the allocation-free core the hot paths use. Results
+//    land in the caller's TraversalWorkspace (read via ws.Dist()); repeated
+//    sweeps on one workspace cost O(frontier) to reset, not O(V). The
+//    per-source BFS is the TraversalGraph template in graph/implicit.h, one
+//    definition for a CsrView and an implicit topology alike; node and edge
+//    failures both apply on a CsrView.
 //  * Graph overloads — the original convenience signatures, now thin
-//    wrappers that run the CSR core on a borrowed per-thread workspace and
+//    wrappers that run the kernels on a borrowed per-thread workspace and
 //    materialize the classic return values.
 #pragma once
 
@@ -15,17 +18,12 @@
 
 #include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/implicit.h"
 #include "graph/workspace.h"
 
 namespace dcn::graph {
 
 // --- CSR core (allocation-free in steady state) ---------------------------
-
-// BFS from src over the CSR view; distances/parents land in `ws`. Returns the
-// number of nodes reached including src (0 if src is dead under `failures`).
-// After the call ws.VisitOrder() lists the reached nodes in settle order.
-std::size_t BfsDistances(const CsrView& csr, NodeId src, TraversalWorkspace& ws,
-                         const FailureSet* failures = nullptr);
 
 // A shortest path src..dst inclusive (node sequence), or empty if
 // unreachable. Early-exits the moment dst is settled instead of finishing the

@@ -8,42 +8,6 @@ namespace {
 constexpr std::int32_t kPending = -2;
 }  // namespace
 
-void LabelComponents(const CsrView& csr, const FailureSet* failures,
-                     ComponentSet& out) {
-  const std::size_t nodes = csr.NodeCount();
-  out.comp.assign(nodes, kDeadComponent);
-  out.count = 0;
-  for (NodeId seed = 0; static_cast<std::size_t>(seed) < nodes; ++seed) {
-    if (out.comp[static_cast<std::size_t>(seed)] != kDeadComponent) continue;
-    if (failures != nullptr && failures->NodeDead(seed)) continue;
-    const auto id = static_cast<std::int32_t>(out.count++);
-    out.comp[static_cast<std::size_t>(seed)] = id;
-    out.queue.clear();
-    out.queue.push_back(seed);
-    for (std::size_t head = 0; head < out.queue.size(); ++head) {
-      const NodeId node = out.queue[head];
-      if (failures == nullptr) {
-        for (const NodeId next : csr.AdjacentNodes(node)) {
-          if (out.comp[static_cast<std::size_t>(next)] != kDeadComponent) {
-            continue;
-          }
-          out.comp[static_cast<std::size_t>(next)] = id;
-          out.queue.push_back(next);
-        }
-      } else {
-        for (const HalfEdge half : csr.Neighbors(node)) {
-          if (!failures->HalfEdgeUsable(half)) continue;
-          if (out.comp[static_cast<std::size_t>(half.to)] != kDeadComponent) {
-            continue;
-          }
-          out.comp[static_cast<std::size_t>(half.to)] = id;
-          out.queue.push_back(half.to);
-        }
-      }
-    }
-  }
-}
-
 ComponentForest::ComponentForest(const CsrView& csr) : csr_(&csr) {
   const std::size_t nodes = csr.NodeCount();
   parent_.assign(nodes, kInvalidNode);

@@ -14,9 +14,9 @@
 #include <span>
 #include <vector>
 
-#include "common/error.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/implicit.h"
 #include "graph/workspace.h"
 
 namespace dcn::graph {
@@ -46,22 +46,15 @@ struct ComponentSet {
   }
 };
 
-// Labels the connected components of `csr` minus `failures` (node and edge
-// kills). Ids are canonical — ascending in each component's lowest node id —
-// so the labeling is a pure function of the graph and failure set.
-void LabelComponents(const CsrView& csr, const FailureSet* failures,
-                     ComponentSet& out);
-
-// Generic overload for any TraversalGraph (graph/implicit.h). Graphs without
-// adjacency spans carry no edge ids, so `failures` must be node-only — the
-// same contract as the implicit BfsDistances.
-template <typename G>
+// Labels the connected components of any TraversalGraph (graph/implicit.h)
+// minus `failures`. Ids are canonical — ascending in each component's lowest
+// node id — so the labeling is a pure function of the graph and failure set.
+// A CsrView honors node and edge kills; graphs without adjacency spans carry
+// no edge ids, so there `failures` must be node-only (ForEachLiveNeighbor).
+template <TraversalGraph G>
 void LabelComponents(const G& g, const FailureSet* failures,
                      ComponentSet& out) {
-  if (failures != nullptr) {
-    DCN_REQUIRE(failures->DeadEdgeCount() == 0,
-                "graphs without adjacency spans cannot honor edge failures");
-  }
+  RequireSupportedFailures<G>(failures);
   const std::size_t nodes = g.NodeCount();
   out.comp.assign(nodes, kDeadComponent);
   out.count = 0;
@@ -73,9 +66,8 @@ void LabelComponents(const G& g, const FailureSet* failures,
     out.queue.clear();
     out.queue.push_back(seed);
     for (std::size_t head = 0; head < out.queue.size(); ++head) {
-      g.ForEachNeighbor(out.queue[head], [&](NodeId next) {
+      ForEachLiveNeighbor(g, failures, out.queue[head], [&](NodeId next) {
         if (out.comp[static_cast<std::size_t>(next)] != kDeadComponent) return;
-        if (failures != nullptr && failures->NodeDead(next)) return;
         out.comp[static_cast<std::size_t>(next)] = id;
         out.queue.push_back(next);
       });

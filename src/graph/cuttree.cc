@@ -4,7 +4,8 @@
 #include <limits>
 
 #include "common/error.h"
-#include "graph/maxflow.h"
+#include "graph/paths.h"
+#include "graph/workspace.h"
 #include "obs/obs.h"
 
 namespace dcn::graph {
@@ -30,8 +31,7 @@ std::int64_t CutTree::MinCut(NodeId u, NodeId v) const {
   return best;
 }
 
-CutTree BuildCutTree(const Graph& graph, std::int64_t edge_capacity,
-                     const FailureSet* failures) {
+CutTree BuildCutTree(const Graph& graph, const FailureSet* failures) {
   const std::size_t nodes = graph.NodeCount();
   CutTree tree;
   tree.parent.assign(nodes, 0);
@@ -42,18 +42,18 @@ CutTree BuildCutTree(const Graph& graph, std::int64_t edge_capacity,
 
   // Gusfield: every node starts parented to node 0; solving (i, parent[i])
   // re-parents the not-yet-processed nodes that fall on i's side of the cut.
-  // One solver instance — the live-edge list (failures applied) is built
-  // once and every solve rebuilds only the flat arc arrays.
-  MaxFlowSolver solver{graph, edge_capacity, failures};
+  // One batch — the arcs (failures applied) are built once and every solve
+  // restores their pristine capacities.
+  FlowScope ws;
+  EdgeConnectivityBatch batch{graph.Csr(), *ws, failures};
   std::vector<char> side;
   {
     OBS_SPAN("cuttree/build");
     for (std::size_t i = 1; i < nodes; ++i) {
       const NodeId src = static_cast<NodeId>(i);
       const NodeId dst = tree.parent[i];
-      solver.Reset();
-      tree.cut[i] = solver.Solve({&src, 1}, {&dst, 1});
-      solver.MinCutSourceSide(side);
+      tree.cut[i] = static_cast<std::int64_t>(batch.Connectivity(src, dst));
+      batch.MinCutSourceSide(src, side);
       for (std::size_t j = i + 1; j < nodes; ++j) {
         if (tree.parent[j] == dst && side[j]) {
           tree.parent[j] = src;

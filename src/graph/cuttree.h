@@ -4,10 +4,12 @@
 // weight on the unique tree path between them — which is all the pairwise
 // connectivity metrics need.
 //
-// Construction reuses one MaxFlowSolver (Reset() between solves), so the
-// live-edge scan over failures happens once, not once per solve. Disconnected
-// inputs (dead nodes, partitioned graphs) are handled naturally: the solve
-// returns 0 and the tree records a weight-0 edge.
+// Construction runs every solve on one EdgeConnectivityBatch (graph/paths.h):
+// the unit arcs (failures applied) are built once and each solve restores
+// the pristine capacities, then reads its min-cut source side with one
+// residual BFS. Disconnected inputs (dead nodes, partitioned graphs) are
+// handled naturally: the solve returns 0 and the tree records a weight-0
+// edge.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +33,10 @@ struct CutTree {
   std::int64_t MinCut(NodeId u, NodeId v) const;
 };
 
-// Builds the cut tree with V-1 Dinic solves. `edge_capacity` applies
-// uniformly to every link; dead nodes/links from `failures` are excluded
-// (a dead node becomes an isolated cut-0 leaf). Deterministic: node order
-// fixes the solve sequence, so the tree is identical at any thread count.
-CutTree BuildCutTree(const Graph& graph, std::int64_t edge_capacity = 1,
-                     const FailureSet* failures = nullptr);
+// Builds the cut tree with V-1 unit-capacity Dinic solves (cuts in links);
+// dead nodes/links from `failures` are excluded (a dead node becomes an
+// isolated cut-0 leaf). Deterministic: node order fixes the solve sequence,
+// so the tree is identical at any thread count.
+CutTree BuildCutTree(const Graph& graph, const FailureSet* failures = nullptr);
 
 }  // namespace dcn::graph

@@ -18,10 +18,12 @@
 // (common/parallel.h), so results are independent of DCN_THREADS and of
 // whether the graph was ever built.
 //
-// Failure overlays: implicit graphs have no EdgeIds, so only node failures
-// apply — kernels taking a FailureSet through this concept require
-// DeadEdgeCount() == 0. Edge-failure sweeps stay on the CsrView overloads
-// (bfs.h / msbfs.h), which HasAdjacencySpans lets generic code detect.
+// Failure overlays: ForEachLiveNeighbor below is the one rule every
+// traversal (BfsDistances here, LabelComponents, MultiSourceBfs) uses to
+// decide which neighbors it may enter. A graph with adjacency spans
+// (HasAdjacencySpans: a CsrView) honors node and edge failures through its
+// per-edge ids; implicit graphs have no EdgeIds, so only node failures apply
+// and kernels taking a FailureSet for them require DeadEdgeCount() == 0.
 #pragma once
 
 #include <concepts>
@@ -67,28 +69,52 @@ concept HasAdjacencySpans =
       { g.Neighbors(node) } -> std::convertible_to<std::span<const HalfEdge>>;
     };
 
-// Per-source BFS over any TraversalGraph — the generic twin of the CsrView
-// overload in bfs.h (which stays the exact-match overload for CsrView
-// callers and also handles edge failures). Same contract: distances land in
-// `ws`, returns the reached count, ws.VisitOrder() lists reached nodes in
-// settle order. With `failures`, only node failures are honored (see above).
+// Calls fn(neighbor) for each neighbor of `node` a traversal may enter: all
+// of them, or under `failures` those across a live link to a live node.
+// Without adjacency spans there are no edge ids, so only node failures apply.
+template <TraversalGraph G, typename Fn>
+void ForEachLiveNeighbor(const G& g, const FailureSet* failures, NodeId node,
+                         Fn&& fn) {
+  if (failures == nullptr) {
+    g.ForEachNeighbor(node, fn);
+  } else if constexpr (HasAdjacencySpans<G>) {
+    for (const HalfEdge& half : g.Neighbors(node)) {
+      if (failures->HalfEdgeUsable(half)) fn(half.to);
+    }
+  } else {
+    g.ForEachNeighbor(node, [&](const NodeId nb) {
+      if (!failures->NodeDead(nb)) fn(nb);
+    });
+  }
+}
+
+// Rejects a failure set a graph cannot honor: one with dead links, on a graph
+// without per-edge ids.
+template <TraversalGraph G>
+void RequireSupportedFailures(const FailureSet* failures) {
+  if constexpr (!HasAdjacencySpans<G>) {
+    DCN_REQUIRE(failures == nullptr || failures->DeadEdgeCount() == 0,
+                "implicit graphs have no edge ids; only node failures apply");
+  }
+}
+
+// Per-source BFS over any TraversalGraph. Distances land in `ws`; returns
+// the number of nodes reached including src (0 if src is dead under
+// `failures`); ws.VisitOrder() then lists the reached nodes in settle order.
 template <TraversalGraph G>
 std::size_t BfsDistances(const G& g, NodeId src, TraversalWorkspace& ws,
                          const FailureSet* failures = nullptr) {
   DCN_REQUIRE(src >= 0 && static_cast<std::size_t>(src) < g.NodeCount(),
               "BFS source out of range");
+  RequireSupportedFailures<G>(failures);
   ws.Begin(g.NodeCount());
-  if (failures != nullptr) {
-    DCN_REQUIRE(failures->DeadEdgeCount() == 0,
-                "implicit graphs have no edge ids; only node failures apply");
-    if (failures->NodeDead(src)) return 0;
-  }
+  if (failures != nullptr && failures->NodeDead(src)) return 0;
   std::vector<NodeId>& queue = ws.Frontier();
   ws.Settle(src, 0);
   queue.push_back(src);
-  // Level-tracked distance-only sweep, mirroring the CsrView healthy path:
-  // the queue is level-ordered, so the boundary index replaces a distance
-  // read per dequeued node.
+  // Distance-only sweep: the parent-less Settle writes one word per settled
+  // node, and the queue is level-ordered, so tracking the level boundary
+  // replaces a distance read per dequeued node.
   int next = 1;
   std::size_t level_end = queue.size();
   for (std::size_t head = 0; head < queue.size(); ++head) {
@@ -96,8 +122,7 @@ std::size_t BfsDistances(const G& g, NodeId src, TraversalWorkspace& ws,
       ++next;
       level_end = queue.size();
     }
-    g.ForEachNeighbor(queue[head], [&](const NodeId to) {
-      if (failures != nullptr && failures->NodeDead(to)) return;
+    ForEachLiveNeighbor(g, failures, queue[head], [&](const NodeId to) {
       if (ws.Settle(to, next)) queue.push_back(to);
     });
   }

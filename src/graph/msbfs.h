@@ -160,25 +160,6 @@ void ForEachLevelChunk(std::size_t items, std::size_t chunk, Body&& body) {
     run(std::false_type{});
   }
 }
-
-// Calls fn(neighbor) for each neighbor of `node` a traversal may enter: all
-// of them, or under `failures` those across a live link to a live node
-// (implicit graphs carry node failures only).
-template <TraversalGraph G, typename Fn>
-void ForEachLiveNeighbor(const G& g, const FailureSet* failures, NodeId node,
-                         Fn&& fn) {
-  if (failures == nullptr) {
-    g.ForEachNeighbor(node, fn);
-  } else if constexpr (HasAdjacencySpans<G>) {
-    for (const HalfEdge& half : g.Neighbors(node)) {
-      if (failures->HalfEdgeUsable(half)) fn(half.to);
-    }
-  } else {
-    g.ForEachNeighbor(node, [&](const NodeId nb) {
-      if (!failures->NodeDead(nb)) fn(nb);
-    });
-  }
-}
 }  // namespace msbfs_detail
 
 // All-lanes-set mask for a batch of `lanes` sources (lanes in [0, 64]).
@@ -216,10 +197,7 @@ void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
   using msbfs_detail::OrInto;
   DCN_REQUIRE(sources.size() <= kMsBfsLanes,
               "MultiSourceBfs batch exceeds 64 lanes");
-  if constexpr (!HasAdjacencySpans<G>) {
-    DCN_REQUIRE(failures == nullptr || failures->DeadEdgeCount() == 0,
-                "implicit graphs have no edge ids; only node failures apply");
-  }
+  RequireSupportedFailures<G>(failures);
   const std::size_t nodes = g.NodeCount();
   const std::size_t words = (nodes + 63) / 64;
   ws.Begin(nodes);
@@ -359,12 +337,11 @@ void MultiSourceBfs(const G& g, std::span<const NodeId> sources,
               const NodeId node = front[i];
               const std::uint64_t word = cur[node];
               cur[node] = 0;
-              msbfs_detail::ForEachLiveNeighbor(
-                  g, failures, node, [&](const NodeId nb) {
-                    OrInto<Shared>(nxt[nb], word);
-                    OrInto<Shared>(touched[static_cast<std::size_t>(nb) / 64],
-                                   NodeBit(nb));
-                  });
+              ForEachLiveNeighbor(g, failures, node, [&](const NodeId nb) {
+                OrInto<Shared>(nxt[nb], word);
+                OrInto<Shared>(touched[static_cast<std::size_t>(nb) / 64],
+                               NodeBit(nb));
+              });
             }
           });
       // Claim, per range of bitmap words: a touched node keeps the lanes it

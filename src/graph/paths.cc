@@ -1,6 +1,7 @@
 #include "graph/paths.h"
 
 #include <limits>
+#include <numeric>
 
 #include "common/error.h"
 #include "obs/obs.h"
@@ -14,8 +15,10 @@ namespace {
 // caller's FlowWorkspace: the arrays are assigned (overwriting old contents
 // in place) per solve, so repeated solves on one workspace do not allocate
 // once the buffers have grown to the largest instance seen. The kernels are
-// free functions over the workspace so the single-shot entry points and the
-// batched engine (EdgeConnectivityBatch) share one implementation.
+// free functions over the workspace so the single-shot entry points, the
+// set-to-set cut (MinCutBetween) and the batched engine
+// (EdgeConnectivityBatch, which the cut tree also runs on) share one
+// implementation.
 //
 // Arc order per node reproduces the historical vector-of-vectors append
 // order exactly — for each live edge (u, v) in edge-id order, u receives
@@ -34,24 +37,39 @@ void AddArcPair(FlowWorkspace& ws, NodeId from, NodeId to) {
   ws.cap[static_cast<std::size_t>(res)] = 0;
 }
 
+// Builds the unit arcs of every live link in edge-id order. With `rep`
+// non-empty, each endpoint n is first replaced by rep[n] — the side-set
+// contraction behind MinCutBetween — and links that end up inside one
+// contracted set are dropped: they can never cross the cut. Contraction only
+// relabels endpoints, so every arc keeps unit capacity.
 void BuildUnitArcs(const CsrView& csr, const FailureSet* failures,
-                   FlowWorkspace& ws) {
+                   FlowWorkspace& ws, std::span<const NodeId> rep = {}) {
+  const auto for_each_live_link = [&](auto&& fn) {
+    for (EdgeId edge = 0; static_cast<std::size_t>(edge) < csr.EdgeCount();
+         ++edge) {
+      if (failures != nullptr && failures->EdgeDead(edge)) continue;
+      auto [u, v] = csr.Endpoints(edge);
+      if (failures != nullptr &&
+          (failures->NodeDead(u) || failures->NodeDead(v))) {
+        continue;
+      }
+      if (!rep.empty()) {
+        u = rep[static_cast<std::size_t>(u)];
+        v = rep[static_cast<std::size_t>(v)];
+        if (u == v) continue;
+      }
+      fn(u, v);
+    }
+  };
   const std::size_t nodes = csr.NodeCount();
   ws.offset.assign(nodes + 1, 0);
   // Two passes: count live arc slots per node, prefix-sum, then fill with
   // per-node cursors. Each live edge contributes two arcs to each endpoint
   // (forward + twin residual).
-  for (EdgeId edge = 0; static_cast<std::size_t>(edge) < csr.EdgeCount();
-       ++edge) {
-    if (failures != nullptr && failures->EdgeDead(edge)) continue;
-    const auto [u, v] = csr.Endpoints(edge);
-    if (failures != nullptr &&
-        (failures->NodeDead(u) || failures->NodeDead(v))) {
-      continue;
-    }
+  for_each_live_link([&](NodeId u, NodeId v) {
     ws.offset[static_cast<std::size_t>(u) + 1] += 2;
     ws.offset[static_cast<std::size_t>(v) + 1] += 2;
-  }
+  });
   for (std::size_t node = 0; node < nodes; ++node) {
     ws.offset[node + 1] += ws.offset[node];
   }
@@ -61,17 +79,10 @@ void BuildUnitArcs(const CsrView& csr, const FailureSet* failures,
   ws.rev.resize(arcs);
   ws.cap.assign(arcs, 0);
   ws.flow.assign(arcs, 0);
-  for (EdgeId edge = 0; static_cast<std::size_t>(edge) < csr.EdgeCount();
-       ++edge) {
-    if (failures != nullptr && failures->EdgeDead(edge)) continue;
-    const auto [u, v] = csr.Endpoints(edge);
-    if (failures != nullptr &&
-        (failures->NodeDead(u) || failures->NodeDead(v))) {
-      continue;
-    }
+  for_each_live_link([&](NodeId u, NodeId v) {
     AddArcPair(ws, u, v);
     AddArcPair(ws, v, u);
-  }
+  });
 }
 
 // Live incident links of a node, straight from the arc layout: each live
@@ -245,6 +256,39 @@ std::size_t EdgeConnectivity(const Graph& graph, NodeId src, NodeId dst,
   return EdgeConnectivity(graph.Csr(), src, dst, *ws, failures);
 }
 
+std::int64_t MinCutBetween(const Graph& graph, std::span<const NodeId> side_a,
+                           std::span<const NodeId> side_b,
+                           const FailureSet* failures) {
+  DCN_REQUIRE(!side_a.empty() && !side_b.empty(),
+              "min cut needs non-empty side sets");
+  const CsrView& csr = graph.Csr();
+  const std::size_t nodes = csr.NodeCount();
+  const auto check = [nodes](NodeId node) {
+    DCN_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < nodes,
+                "side node out of range");
+  };
+  // Contract each side onto its first node. Side b is mapped first, so a
+  // node of side a already mapped to b's representative is in both sets.
+  const NodeId a = side_a.front();
+  const NodeId b = side_b.front();
+  std::vector<NodeId> rep(nodes);
+  std::iota(rep.begin(), rep.end(), NodeId{0});
+  for (const NodeId node : side_b) {
+    check(node);
+    rep[static_cast<std::size_t>(node)] = b;
+  }
+  for (const NodeId node : side_a) {
+    check(node);
+    DCN_REQUIRE(rep[static_cast<std::size_t>(node)] != b,
+                "side sets must be disjoint");
+    rep[static_cast<std::size_t>(node)] = a;
+  }
+  FlowScope ws;
+  BuildUnitArcs(csr, failures, *ws, rep);
+  return static_cast<std::int64_t>(RunUnitFlow(
+      *ws, nodes, a, b, std::numeric_limits<std::size_t>::max()));
+}
+
 EdgeConnectivityBatch::EdgeConnectivityBatch(const CsrView& csr,
                                              FlowWorkspace& ws,
                                              const FailureSet* failures)
@@ -262,16 +306,19 @@ std::size_t EdgeConnectivityBatch::Connectivity(NodeId src, NodeId dst,
   static obs::Counter& c_reuse = obs::GetCounter("dinic/reuse_hits");
   static obs::Counter& c_level = obs::GetCounter("dinic/source_level_hits");
   c_solves.Add(1);
-  if (failures_ != nullptr &&
-      (failures_->NodeDead(src) || failures_->NodeDead(dst))) {
-    return 0;
-  }
+  last_src_ = src;
+  // Restore before the dead-endpoint return too, so a MinCutSourceSide
+  // readout after that return never sees the previous solve's residual.
   if (first_) {
     first_ = false;
   } else {
     ws_.cap.assign(ws_.cap0.begin(), ws_.cap0.end());
     ws_.flow.assign(ws_.flow.size(), 0);
     c_reuse.Add(1);
+  }
+  if (failures_ != nullptr &&
+      (failures_->NodeDead(src) || failures_->NodeDead(dst))) {
+    return 0;
   }
 
   const std::size_t bound = std::min(LiveDegree(ws_, src), LiveDegree(ws_, dst));
@@ -301,6 +348,20 @@ std::size_t EdgeConnectivityBatch::Connectivity(NodeId src, NodeId dst,
     while (AugmentUnit(ws_, src, dst)) ++flow;
   }
   return flow;
+}
+
+void EdgeConnectivityBatch::MinCutSourceSide(NodeId src,
+                                             std::vector<char>& side) {
+  DCN_REQUIRE(src == last_src_ && src != kInvalidNode,
+              "MinCutSourceSide reads the residual of the last Connectivity "
+              "call, which must have come from src");
+  // Untruncated, the level BFS is plain residual reachability; its sink
+  // argument only picks the (unused) return value.
+  BuildUnitLevels(ws_, nodes_, src, src, /*truncate=*/false);
+  side.assign(nodes_, 0);
+  for (std::size_t node = 0; node < nodes_; ++node) {
+    if (ws_.level[node] >= 0) side[node] = 1;
+  }
 }
 
 }  // namespace dcn::graph

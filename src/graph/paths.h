@@ -1,9 +1,14 @@
-// Edge-disjoint path extraction between two servers.
-//
-// The BCCC/ABCCC papers advertise "multiple near-equal parallel paths"; this
-// module measures that claim: it computes a maximum set of pairwise
-// link-disjoint paths (max-flow with unit link capacities) and returns the
-// concrete paths so their lengths can be compared.
+// The one max-flow kernel: a unit-capacity Dinic over the undirected link
+// graph (each live link is a pair of opposite unit arcs, the standard
+// reduction for undirected flow). Every min-cut question the library asks is
+// a unit-link cut, so this kernel answers all of them:
+//   * edge-disjoint paths and pair connectivity (the BCCC/ABCCC papers'
+//     "multiple near-equal parallel paths" claim, measured with the concrete
+//     paths so their lengths can be compared);
+//   * set-to-set cuts (bisection bandwidth), by contracting each side set
+//     onto one node so every arc stays unit capacity;
+//   * batched pair cuts and the cut tree's min-cut source sides
+//     (EdgeConnectivityBatch; graph/cuttree.h builds on it).
 //
 // The workspace overloads run the solver on caller-provided scratch
 // (graph/workspace.h): the flat arc arrays are overwritten, not reallocated,
@@ -11,6 +16,8 @@
 // allocation-free. The Graph overloads borrow a per-thread workspace.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -41,6 +48,15 @@ std::size_t EdgeConnectivity(const CsrView& csr, NodeId src, NodeId dst,
                              FlowWorkspace& ws,
                              const FailureSet* failures = nullptr);
 
+// Min link cut separating the node sets `side_a` and `side_b` (non-empty,
+// disjoint, duplicates allowed) — bisection bandwidth in unit links. Each set
+// is contracted onto one node during the arc build (links inside a set are
+// dropped), and one unit-capacity solve runs between the two. Dead nodes and
+// links under `failures` carry no arcs, so a dead side node adds nothing.
+std::int64_t MinCutBetween(const Graph& graph, std::span<const NodeId> side_a,
+                           std::span<const NodeId> side_b,
+                           const FailureSet* failures = nullptr);
+
 // Batched link-connectivity queries against one (graph, failure set). The
 // flat arc arrays are built once in the constructor; each query restores the
 // pristine capacities with a memcpy instead of re-scanning the edge list, so
@@ -58,11 +74,21 @@ class EdgeConnectivityBatch {
   std::size_t Connectivity(NodeId src, NodeId dst,
                            bool repeated_source = false);
 
+  // The source side of the min cut the last Connectivity call found; `src`
+  // must be that call's source. side[n] != 0 iff n is reachable from src in
+  // the residual network — the same set for every maximum flow (the minimal
+  // min cut), so the readout does not depend on which flow the solve
+  // happened to push. Runs one fresh, untruncated residual BFS: the solve's
+  // own levels stop at the sink's depth and are skipped entirely once the
+  // degree bound is met. `side` is sized to the node count.
+  void MinCutSourceSide(NodeId src, std::vector<char>& side);
+
  private:
   FlowWorkspace& ws_;
   const FailureSet* failures_;
   std::size_t nodes_;
   NodeId cached_src_ = kInvalidNode;  // source the cached levels belong to
+  NodeId last_src_ = kInvalidNode;    // source of the last Connectivity call
   bool first_ = true;
 };
 

@@ -7,15 +7,13 @@
 #include "common/parallel.h"
 #include "graph/cuttree.h"
 #include "graph/paths.h"
-#include "graph/maxflow.h"
 
 namespace dcn::metrics {
 
 std::int64_t MeasureBisection(const topo::Topology& net,
                               const graph::FailureSet* failures) {
   const auto [side_a, side_b] = net.BisectionHalves();
-  return graph::MinCutBetween(net.Network(), side_a, side_b, /*edge_capacity=*/1,
-                              failures);
+  return graph::MinCutBetween(net.Network(), side_a, side_b, failures);
 }
 
 PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
@@ -97,8 +95,7 @@ PairCutStats AllPairsCutStats(const topo::Topology& net,
   const graph::Graph& g = net.Network();
   const auto servers = net.Servers();
   DCN_REQUIRE(servers.size() >= 2, "need at least two servers for pair cuts");
-  const graph::CutTree tree = graph::BuildCutTree(g, /*edge_capacity=*/1,
-                                                  failures);
+  const graph::CutTree tree = graph::BuildCutTree(g, failures);
 
   // Kruskal over the tree edges in descending cut order: when an edge of
   // weight w first joins two node groups, w is the smallest weight on the

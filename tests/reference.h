@@ -7,13 +7,17 @@
 //                                test_workspace, test_pinned_workloads)
 //   ReferenceUnitFlow            per-pair unit-capacity Dinic: arcs rebuilt
 //                                from the CSR per construction, untruncated
-//                                level BFS (test_pinned_workloads)
+//                                level BFS (test_pinned_workloads,
+//                                test_cuttree)
 //   ReferenceSampledPairCuts     metrics::SampledPairCuts before the
 //                                source-shared batch engine
 //   ReferencePairDisconnection   metrics::PairDisconnectionFraction before
 //                                the component engine (test_components)
 //   ReferenceWorstSingleSwitch   metrics::WorstSingleSwitchDisconnection
 //                                before the intact-forest cone repair
+//   CubeDiameter                 closed-form diameter of ABCCC(n, k, c), the
+//                                exact value the cube tests assert where
+//                                they once checked the route bound
 //
 // The sampled references draw from the same base.Fork(i) streams as the
 // production kernels and run serially, so their results match at any
@@ -35,6 +39,15 @@
 #include "topology/topology.h"
 
 namespace dcn {
+
+// Exact diameter of ABCCC(n, k, c) (DESIGN.md §1), in links: a farthest pair
+// differs in every digit and must visit every role's crossbar, so 2(k+1) +
+// 2m with m = ceil((k+1)/(c-1)) roles — or 2(k+1) when m = 1 and there is no
+// crossbar. Independent of n.
+inline int CubeDiameter(int k, int c) {
+  const int m = (k + c - 1) / (c - 1);
+  return 2 * (k + 1) + (m >= 2 ? 2 * m : 0);
+}
 
 // Straightforward adjacency-list BFS with a fresh O(V) distance array —
 // what the hot paths ran before the CSR refactor.

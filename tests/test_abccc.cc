@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "graph/bfs.h"
+#include "reference.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
 
@@ -157,17 +158,17 @@ TEST_P(AbcccStructure, IsConnected) {
   EXPECT_TRUE(graph::IsConnected(net.Network()));
 }
 
-TEST_P(AbcccStructure, DiameterWithinRouteBound) {
+TEST_P(AbcccStructure, DiameterIsExact) {
   const Abccc net{P()};
-  // BFS from server 0 bounds the eccentricity; vertex symmetry makes this
-  // representative, and the route bound must dominate it.
+  // Every server's eccentricity is the diameter (a farthest server differs
+  // in every digit), so BFS from server 0 must reach the closed form exactly.
   const std::vector<int> dist = graph::BfsDistances(net.Network(), 0);
   int ecc = 0;
   for (const graph::NodeId server : net.Servers()) {
     ASSERT_NE(dist[server], graph::kUnreachable);
     ecc = std::max(ecc, dist[server]);
   }
-  EXPECT_LE(ecc, net.RouteLengthBound());
+  EXPECT_EQ(ecc, CubeDiameter(P().k, P().c));
 }
 
 INSTANTIATE_TEST_SUITE_P(

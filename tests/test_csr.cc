@@ -17,7 +17,6 @@
 
 #include "common/rng.h"
 #include "graph/bfs.h"
-#include "graph/maxflow.h"
 #include "graph/paths.h"
 #include "graph/workspace.h"
 #include "reference.h"
@@ -260,10 +259,13 @@ TEST(CsrEquivalenceTest, MinCutsAgreeAcrossAllSolvers) {
         ASSERT_EQ(EdgeDisjointPaths(csr, src, dst, *ws,
                                     static_cast<std::size_t>(-1), f),
                   paths);
-        // Dinic with unit capacities computes the same cut.
+        // The set-to-set cut on singleton sides is the same cut, and so is
+        // the reference Dinic's.
         ASSERT_EQ(MinCutBetween(g, std::vector<NodeId>{src},
-                                std::vector<NodeId>{dst}, 1, f),
+                                std::vector<NodeId>{dst}, f),
                   static_cast<std::int64_t>(cut));
+        ReferenceUnitFlow reference{csr, f, *ws};
+        ASSERT_EQ(reference.Run(src, dst), cut);
         // Each path walks real, live, pairwise-disjoint links src..dst.
         EpochMarks used;
         used.Begin(g.EdgeCount());

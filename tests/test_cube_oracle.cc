@@ -20,7 +20,8 @@
 // server-to-server distance (DistanceOracle below): the exact all-pairs sweep
 // over the materialized graph and the symmetry-reduced sweep over the
 // implicit one, at several thread counts, up to an instance whose BFS levels
-// span many of the kernel's fixed chunks.
+// span many of the kernel's fixed chunks; and the grouped digit-fixing
+// route's length against the same closed form, pair by pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,11 +30,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "metrics/path_metrics.h"
+#include "routing/abccc_routing.h"
 #include "topology/abccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
@@ -340,6 +343,23 @@ class DistanceOracle {
   std::vector<std::vector<uint64_t>> ways_;
 };
 
+// d for one ordered pair of server ids, read off the node-id layout
+// (row·m + role) with the formula above.
+int PairDistance(const PaperShape& shape, uint64_t u, uint64_t v) {
+  const auto m = static_cast<uint64_t>(shape.M());
+  const std::vector<int> a = shape.DigitsOfRow(u / m);
+  const std::vector<int> b = shape.DigitsOfRow(v / m);
+  int differing = 0;
+  std::uint32_t roles = 0;
+  for (int l = 0; l < shape.Levels(); ++l) {
+    if (a[static_cast<std::size_t>(l)] == b[static_cast<std::size_t>(l)]) continue;
+    ++differing;
+    roles |= 1u << (l / (shape.c - 1));
+  }
+  return 2 * differing + 2 * DistanceOracle::CrossbarHops(roles, static_cast<int>(u % m),
+                                                          static_cast<int>(v % m));
+}
+
 void ExpectMatchesOracle(const metrics::ExactPathStats& got, const PaperShape& shape) {
   const DistanceOracle::Result want = DistanceOracle{shape}.Sweep();
   const uint64_t servers = shape.Servers();
@@ -376,6 +396,36 @@ TEST(CubeOracleTest, OracleDiameterIsTwiceLevelsPlusRoles) {
     const int m = shape.M();
     const int want = 2 * shape.Levels() + (m >= 2 ? 2 * m : 0);
     EXPECT_EQ(DistanceOracle{shape}.Sweep().diameter, want);
+  }
+}
+
+TEST(CubeOracleTest, GroupedRouteLengthIsTheDistanceForEveryPair) {
+  // The grouped digit-fixing route is a shortest path between every ordered
+  // server pair — F2's sampled stretch of 1.000, as a check.
+  std::vector<std::pair<std::unique_ptr<topo::Abccc>, PaperShape>> nets;
+  for (const auto& [n, k, c] : {std::tuple{3, 2, 2}, std::tuple{3, 3, 3}, std::tuple{2, 4, 3},
+                                std::tuple{2, 5, 3}, std::tuple{2, 5, 4}, std::tuple{3, 2, 4}}) {
+    nets.emplace_back(std::make_unique<topo::Abccc>(topo::AbcccParams{n, k, c}),
+                      Uniform(n, k, c));
+  }
+  nets.emplace_back(std::make_unique<topo::Bcube>(3, 2), Uniform(3, 2, 4));
+  nets.emplace_back(std::make_unique<topo::Bccc>(3, 2), Uniform(3, 2, 2));
+  // Spec radices 4.2.3 (big-endian), c = 2.
+  nets.emplace_back(std::make_unique<topo::Abccc>(topo::GeneralAbcccParams{{3, 2, 4}, 2}),
+                    PaperShape{{3, 2, 4}, 2});
+  for (const auto& [net, shape] : nets) {
+    SCOPED_TRACE(net->Describe());
+    ASSERT_EQ(net->ServerCount(), shape.Servers());
+    for (const NodeId u : net->Servers()) {
+      for (const NodeId v : net->Servers()) {
+        if (u == v) continue;
+        const routing::Route route =
+            routing::AbcccRoute(*net, u, v, routing::PermutationStrategy::kGroupedFromSource);
+        ASSERT_EQ(static_cast<int>(route.LinkCount()),
+                  PairDistance(shape, static_cast<uint64_t>(u), static_cast<uint64_t>(v)))
+            << u << " -> " << v;
+      }
+    }
   }
 }
 

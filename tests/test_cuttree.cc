@@ -1,7 +1,8 @@
 // Differential battery for the Gomory–Hu cut tree: every answer it gives
-// must equal a per-pair Dinic solve — on all supported topology families,
-// random graphs, and graphs with failures — and the all-pairs stats built
-// from it must be exact, at any thread count.
+// must equal a per-pair solve of the reference Dinic (tests/reference.h,
+// which shares no code with the batch kernel the tree runs on) — on all
+// supported topology families, random graphs, and graphs with failures —
+// and the all-pairs stats built from it must be exact, at any thread count.
 #include "graph/cuttree.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +13,9 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "graph/paths.h"
+#include "graph/workspace.h"
 #include "metrics/bisection.h"
+#include "reference.h"
 #include "topology/factory.h"
 
 namespace dcn {
@@ -34,18 +36,24 @@ graph::Graph RandomGraph(Rng& rng, std::size_t nodes, std::size_t edges) {
   return g;
 }
 
+// One fresh reference solve per pair.
+std::int64_t ReferenceCut(const graph::CsrView& csr, graph::NodeId u,
+                          graph::NodeId v,
+                          const graph::FailureSet* failures = nullptr) {
+  graph::FlowScope ws;
+  ReferenceUnitFlow flow{csr, failures, *ws};
+  return static_cast<std::int64_t>(flow.Run(u, v));
+}
+
 TEST(CutTreeTest, MatchesDinicOnRandomGraphs) {
   Rng rng{11};
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t nodes = 6 + rng.NextUint64(18);
     const graph::Graph g = RandomGraph(rng, nodes, nodes * 2);
     const graph::CutTree tree = graph::BuildCutTree(g);
-    graph::FlowScope ws;
     for (graph::NodeId u = 0; static_cast<std::size_t>(u) < nodes; ++u) {
       for (graph::NodeId v = u + 1; static_cast<std::size_t>(v) < nodes; ++v) {
-        EXPECT_EQ(tree.MinCut(u, v),
-                  static_cast<std::int64_t>(
-                      graph::EdgeConnectivity(g.Csr(), u, v, *ws)))
+        EXPECT_EQ(tree.MinCut(u, v), ReferenceCut(g.Csr(), u, v))
             << "trial " << trial << ": " << u << " vs " << v;
       }
     }
@@ -62,28 +70,33 @@ TEST(CutTreeTest, MatchesDinicUnderFailures) {
       failures.KillEdge(static_cast<graph::EdgeId>(rng.NextUint64(g.EdgeCount())));
     }
     failures.KillNode(static_cast<graph::NodeId>(rng.NextUint64(nodes)));
-    const graph::CutTree tree =
-        graph::BuildCutTree(g, /*edge_capacity=*/1, &failures);
-    graph::FlowScope ws;
+    const graph::CutTree tree = graph::BuildCutTree(g, &failures);
     for (graph::NodeId u = 0; static_cast<std::size_t>(u) < nodes; ++u) {
       for (graph::NodeId v = u + 1; static_cast<std::size_t>(v) < nodes; ++v) {
-        EXPECT_EQ(tree.MinCut(u, v),
-                  static_cast<std::int64_t>(
-                      graph::EdgeConnectivity(g.Csr(), u, v, *ws, &failures)))
+        EXPECT_EQ(tree.MinCut(u, v), ReferenceCut(g.Csr(), u, v, &failures))
             << "trial " << trial << ": " << u << " vs " << v;
       }
     }
   }
 }
 
-TEST(CutTreeTest, EdgeCapacityScalesCuts) {
-  Rng rng{17};
-  const graph::Graph g = RandomGraph(rng, 14, 30);
-  const graph::CutTree unit = graph::BuildCutTree(g, 1);
-  const graph::CutTree weighted = graph::BuildCutTree(g, 5);
-  for (graph::NodeId u = 0; u < 14; ++u) {
-    for (graph::NodeId v = u + 1; v < 14; ++v) {
-      EXPECT_EQ(weighted.MinCut(u, v), 5 * unit.MinCut(u, v));
+TEST(CutTreeTest, MatchesDinicWithDeadRoot) {
+  // Node 0, every node's first parent, is dead: each component's first solve
+  // has a dead sink and returns 0 at once, and its source side — the whole
+  // live component — must still re-parent the rest of that component.
+  Rng rng{19};
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t nodes = 8 + rng.NextUint64(12);
+    const graph::Graph g = RandomGraph(rng, nodes, nodes * 2);
+    graph::FailureSet failures{g};
+    failures.KillNode(0);
+    failures.KillEdge(static_cast<graph::EdgeId>(rng.NextUint64(g.EdgeCount())));
+    const graph::CutTree tree = graph::BuildCutTree(g, &failures);
+    for (graph::NodeId u = 0; static_cast<std::size_t>(u) < nodes; ++u) {
+      for (graph::NodeId v = u + 1; static_cast<std::size_t>(v) < nodes; ++v) {
+        EXPECT_EQ(tree.MinCut(u, v), ReferenceCut(g.Csr(), u, v, &failures))
+            << "trial " << trial << ": " << u << " vs " << v;
+      }
     }
   }
 }
@@ -95,30 +108,25 @@ TEST(CutTreeTest, IsolatedAndDeadNodesAreCutZeroLeaves) {
   g.AddEdge(1, 2);  // node 3 isolated
   graph::FailureSet failures{g};
   failures.KillNode(2);
-  const graph::CutTree tree = graph::BuildCutTree(g, 1, &failures);
+  const graph::CutTree tree = graph::BuildCutTree(g, &failures);
   EXPECT_EQ(tree.MinCut(0, 1), 1);
   EXPECT_EQ(tree.MinCut(0, 2), 0);  // dead
   EXPECT_EQ(tree.MinCut(0, 3), 0);  // isolated
   EXPECT_EQ(tree.MinCut(2, 3), 0);
 }
 
-// Brute-force twin of AllPairsCutStats: one Dinic per unordered server pair.
+// Brute-force twin of AllPairsCutStats: one reference Dinic per unordered
+// server pair.
 metrics::PairCutStats BruteAllPairs(const topo::Topology& net,
                                     const graph::FailureSet* failures) {
   const graph::CsrView& csr = net.Network().Csr();
   const auto servers = csr.Servers();
-  graph::FlowScope ws;
   metrics::PairCutStats stats;
   stats.min_cut = std::numeric_limits<std::int64_t>::max();
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < servers.size(); ++i) {
     for (std::size_t j = i + 1; j < servers.size(); ++j) {
-      std::int64_t cut = 0;
-      if (failures == nullptr || (!failures->NodeDead(servers[i]) &&
-                                  !failures->NodeDead(servers[j]))) {
-        cut = static_cast<std::int64_t>(
-            graph::EdgeConnectivity(csr, servers[i], servers[j], *ws, failures));
-      }
+      const std::int64_t cut = ReferenceCut(csr, servers[i], servers[j], failures);
       stats.cuts.Add(cut);
       stats.min_cut = std::min(stats.min_cut, cut);
       sum += cut;
@@ -162,8 +170,8 @@ TEST(AllPairsCutStatsTest, ExactUnderFailures) {
 }
 
 // Every supported family: the tree must answer sampled pairs exactly like a
-// fresh per-pair Dinic (full all-pairs brute force would be quadratic in
-// servers, so pairs are sampled on the larger defaults).
+// fresh per-pair reference Dinic (full all-pairs brute force would be
+// quadratic in servers, so pairs are sampled on the larger defaults).
 class CutTreeFamilies : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CutTreeFamilies, TreeMatchesSampledDinic) {
@@ -172,14 +180,11 @@ TEST_P(CutTreeFamilies, TreeMatchesSampledDinic) {
   const graph::CutTree tree = graph::BuildCutTree(net->Network());
   const auto servers = csr.Servers();
   Rng rng{0xc07 + servers.size()};
-  graph::FlowScope ws;
   for (int q = 0; q < 40; ++q) {
     const graph::NodeId u = servers[rng.NextUint64(servers.size())];
     graph::NodeId v = u;
     while (v == u) v = servers[rng.NextUint64(servers.size())];
-    EXPECT_EQ(tree.MinCut(u, v),
-              static_cast<std::int64_t>(graph::EdgeConnectivity(csr, u, v, *ws)))
-        << u << " vs " << v;
+    EXPECT_EQ(tree.MinCut(u, v), ReferenceCut(csr, u, v)) << u << " vs " << v;
   }
   // And the aggregate stats must cover every unordered server pair.
   const metrics::PairCutStats stats = metrics::AllPairsCutStats(*net);

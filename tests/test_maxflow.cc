@@ -1,20 +1,43 @@
-#include "graph/maxflow.h"
+// Set-to-set min cuts (MinCutBetween) and the batch's min-cut source side,
+// both on the one unit-capacity Dinic in graph/paths.cc. Hand-built graphs
+// pin the basic answers; a brute-force enumeration of every bipartition
+// checks the side-set contraction against code that shares nothing with
+// Dinic.
+#include "graph/paths.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace dcn::graph {
 namespace {
+
+// Two triangles {0,1,2} and {3,4,5} joined by the single bridge 2-3.
+Graph TwoTriangles() {
+  Graph g;
+  for (int i = 0; i < 6; ++i) g.AddNode(NodeKind::kServer);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 0);
+  g.AddEdge(3, 4);
+  g.AddEdge(4, 5);
+  g.AddEdge(5, 3);
+  g.AddEdge(2, 3);  // the bridge
+  return g;
+}
 
 TEST(MaxFlowTest, SingleEdge) {
   Graph g;
   const NodeId a = g.AddNode(NodeKind::kServer);
   const NodeId b = g.AddNode(NodeKind::kServer);
   g.AddEdge(a, b);
-  const std::vector<NodeId> src{a}, dst{b};
-  EXPECT_EQ(MinCutBetween(g, src, dst), 1);
-  EXPECT_EQ(MinCutBetween(g, src, dst, 5), 5);
+  EXPECT_EQ(MinCutBetween(g, std::vector<NodeId>{a}, std::vector<NodeId>{b}), 1);
 }
 
 TEST(MaxFlowTest, ParallelEdgesAdd) {
@@ -35,16 +58,7 @@ TEST(MaxFlowTest, CycleGivesTwo) {
 }
 
 TEST(MaxFlowTest, BridgeLimitsFlow) {
-  // Two triangles joined by one bridge: cut = 1.
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.AddNode(NodeKind::kServer);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 0);
-  g.AddEdge(3, 4);
-  g.AddEdge(4, 5);
-  g.AddEdge(5, 3);
-  g.AddEdge(2, 3);  // bridge
+  const Graph g = TwoTriangles();
   EXPECT_EQ(MinCutBetween(g, std::vector<NodeId>{0}, std::vector<NodeId>{5}), 1);
 }
 
@@ -60,11 +74,25 @@ TEST(MaxFlowTest, CompleteGraphK4) {
 
 TEST(MaxFlowTest, SetToSetFlow) {
   // Star: center 4, leaves 0..3. Cut between {0,1} and {2,3} is 2 (the two
-  // source attachment links saturate).
+  // links of one side's leaves).
   Graph g;
   for (int i = 0; i < 5; ++i) g.AddNode(NodeKind::kServer);
   for (int i = 0; i < 4; ++i) g.AddEdge(i, 4);
   EXPECT_EQ(MinCutBetween(g, std::vector<NodeId>{0, 1}, std::vector<NodeId>{2, 3}),
+            2);
+}
+
+TEST(MaxFlowTest, LinksInsideOneSideNeverCount) {
+  // Path 0-1-2-3 with a triple bundle 0=1 inside side a and a direct a-b
+  // link 1-3: the cut is the two links leaving {0,1}, not the bundle.
+  Graph g;
+  for (int i = 0; i < 4; ++i) g.AddNode(NodeKind::kServer);
+  for (int i = 0; i < 3; ++i) g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  g.AddEdge(1, 3);
+  EXPECT_EQ(MinCutBetween(g, std::vector<NodeId>{0, 1}, std::vector<NodeId>{3}), 2);
+  EXPECT_EQ(MinCutBetween(g, std::vector<NodeId>{1, 0, 1}, std::vector<NodeId>{2, 3}),
             2);
 }
 
@@ -79,11 +107,11 @@ TEST(MaxFlowTest, FailuresReduceCut) {
   FailureSet failures{g};
   failures.KillEdge(top);
   EXPECT_EQ(
-      MinCutBetween(g, std::vector<NodeId>{0}, std::vector<NodeId>{2}, 1, &failures),
+      MinCutBetween(g, std::vector<NodeId>{0}, std::vector<NodeId>{2}, &failures),
       1);
   failures.KillNode(3);
   EXPECT_EQ(
-      MinCutBetween(g, std::vector<NodeId>{0}, std::vector<NodeId>{2}, 1, &failures),
+      MinCutBetween(g, std::vector<NodeId>{0}, std::vector<NodeId>{2}, &failures),
       0);
 }
 
@@ -99,67 +127,26 @@ TEST(MaxFlowTest, PreconditionViolations) {
   const NodeId a = g.AddNode(NodeKind::kServer);
   const NodeId b = g.AddNode(NodeKind::kServer);
   g.AddEdge(a, b);
-  MaxFlowSolver solver{g};
-  EXPECT_THROW(solver.Solve({}, std::vector<NodeId>{b}), InvalidArgument);
+  EXPECT_THROW(MinCutBetween(g, {}, std::vector<NodeId>{b}), InvalidArgument);
+  EXPECT_THROW(MinCutBetween(g, std::vector<NodeId>{a}, {}), InvalidArgument);
   EXPECT_THROW(
       MinCutBetween(g, std::vector<NodeId>{a}, std::vector<NodeId>{a}),
       InvalidArgument);
-  EXPECT_THROW(MaxFlowSolver(g, 0), InvalidArgument);
-}
-
-TEST(MaxFlowTest, SolveRequiresResetBetweenSolves) {
-  Graph g;
-  const NodeId a = g.AddNode(NodeKind::kServer);
-  const NodeId b = g.AddNode(NodeKind::kServer);
-  g.AddEdge(a, b);
-  MaxFlowSolver solver{g};
-  EXPECT_EQ(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}), 1);
-  // The residual network of the first solve is still loaded: solving again
-  // without Reset() must throw rather than return garbage.
-  EXPECT_THROW(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}),
-               InvalidArgument);
-  solver.Reset();
-  EXPECT_EQ(solver.Solve(std::vector<NodeId>{a}, std::vector<NodeId>{b}), 1);
-}
-
-TEST(MaxFlowTest, ReusedSolverMatchesFreshSolvers) {
-  // K4 plus a pendant: several distinct terminal pairs with different cuts.
-  Graph g;
-  for (int i = 0; i < 5; ++i) g.AddNode(NodeKind::kServer);
-  for (int i = 0; i < 4; ++i) {
-    for (int j = i + 1; j < 4; ++j) g.AddEdge(i, j);
-  }
-  g.AddEdge(3, 4);
-  MaxFlowSolver reused{g};
-  bool first = true;
-  for (NodeId src = 0; src < 5; ++src) {
-    for (NodeId dst = 0; dst < 5; ++dst) {
-      if (src == dst) continue;
-      if (!first) reused.Reset();
-      first = false;
-      MaxFlowSolver fresh{g};
-      EXPECT_EQ(reused.Solve(std::vector<NodeId>{src}, std::vector<NodeId>{dst}),
-                fresh.Solve(std::vector<NodeId>{src}, std::vector<NodeId>{dst}))
-          << src << " -> " << dst;
-    }
-  }
+  EXPECT_THROW(
+      MinCutBetween(g, std::vector<NodeId>{a}, std::vector<NodeId>{b, a}),
+      InvalidArgument);
+  EXPECT_THROW(
+      MinCutBetween(g, std::vector<NodeId>{a}, std::vector<NodeId>{2}),
+      InvalidArgument);
 }
 
 TEST(MaxFlowTest, MinCutSourceSideSeparatesTerminals) {
-  // Two triangles joined by a single bridge: cut 1, source side = triangle A.
-  Graph g;
-  for (int i = 0; i < 6; ++i) g.AddNode(NodeKind::kServer);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 0);
-  g.AddEdge(3, 4);
-  g.AddEdge(4, 5);
-  g.AddEdge(5, 3);
-  g.AddEdge(2, 3);  // the bridge
-  MaxFlowSolver solver{g};
-  EXPECT_EQ(solver.Solve(std::vector<NodeId>{0}, std::vector<NodeId>{5}), 1);
+  const Graph g = TwoTriangles();
+  FlowScope ws;
+  EdgeConnectivityBatch batch{g.Csr(), *ws};
+  EXPECT_EQ(batch.Connectivity(0, 5), 1u);
   std::vector<char> side;
-  solver.MinCutSourceSide(side);
+  batch.MinCutSourceSide(0, side);
   ASSERT_EQ(side.size(), 6u);
   for (NodeId n = 0; n < 3; ++n) EXPECT_TRUE(side[n]) << n;
   for (NodeId n = 3; n < 6; ++n) EXPECT_FALSE(side[n]) << n;
@@ -170,6 +157,102 @@ TEST(MaxFlowTest, MinCutSourceSideSeparatesTerminals) {
     if (side[u] != side[v]) ++crossing;
   }
   EXPECT_EQ(crossing, 1u);
+  // The readout belongs to the last solve's source only.
+  EXPECT_THROW(batch.MinCutSourceSide(1, side), InvalidArgument);
+}
+
+TEST(MaxFlowTest, MinCutSourceSideAfterDeadEndpointSolveIsFresh) {
+  // Node 4 is dead. The solve 0 -> 5 saturates the bridge; the next solve
+  // has a dead sink and returns 0 at once, and its source side must be the
+  // whole live component of node 1 — read on pristine capacities, not on
+  // the previous solve's residual, where the saturated bridge would cut
+  // node 1 off from {3, 5}.
+  const Graph g = TwoTriangles();
+  FailureSet failures{g};
+  failures.KillNode(4);
+  FlowScope ws;
+  EdgeConnectivityBatch batch{g.Csr(), *ws, &failures};
+  EXPECT_EQ(batch.Connectivity(0, 5), 1u);
+  EXPECT_EQ(batch.Connectivity(1, 4), 0u);
+  std::vector<char> side;
+  batch.MinCutSourceSide(1, side);
+  EXPECT_EQ(side, (std::vector<char>{1, 1, 1, 1, 0, 1}));
+  // A dead source reaches only itself.
+  EXPECT_EQ(batch.Connectivity(4, 0), 0u);
+  batch.MinCutSourceSide(4, side);
+  EXPECT_EQ(side, (std::vector<char>{0, 0, 0, 0, 1, 0}));
+}
+
+// The fewest live links crossing any bipartition that puts every node of
+// `side_a` on one side and every node of `side_b` on the other: enumerates
+// all placements of the remaining nodes, sharing no code with Dinic.
+std::int64_t BruteForceSetCut(const Graph& g, const FailureSet& failures,
+                              const std::vector<NodeId>& side_a,
+                              const std::vector<NodeId>& side_b) {
+  const std::size_t nodes = g.NodeCount();
+  std::vector<int> in_a(nodes, -1);
+  for (const NodeId n : side_a) in_a[static_cast<std::size_t>(n)] = 1;
+  for (const NodeId n : side_b) in_a[static_cast<std::size_t>(n)] = 0;
+  std::vector<std::size_t> free;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    if (in_a[n] < 0) free.push_back(n);
+  }
+  std::int64_t best = std::numeric_limits<std::int64_t>::max();
+  for (std::uint32_t mask = 0; mask < (1u << free.size()); ++mask) {
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      in_a[free[i]] = static_cast<int>((mask >> i) & 1u);
+    }
+    std::int64_t crossing = 0;
+    for (EdgeId e = 0; static_cast<std::size_t>(e) < g.EdgeCount(); ++e) {
+      const auto [u, v] = g.Endpoints(e);
+      if (failures.EdgeDead(e) || failures.NodeDead(u) || failures.NodeDead(v)) {
+        continue;
+      }
+      if (in_a[static_cast<std::size_t>(u)] != in_a[static_cast<std::size_t>(v)]) {
+        ++crossing;
+      }
+    }
+    best = std::min(best, crossing);
+  }
+  return best;
+}
+
+TEST(MaxFlowTest, SetCutsMatchBruteForceBipartitions) {
+  Rng rng{0x5e7c7};
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const auto nodes = static_cast<std::size_t>(rng.NextInt(2, 12));
+    Graph g;
+    for (std::size_t i = 0; i < nodes; ++i) g.AddNode(NodeKind::kServer);
+    const auto links = static_cast<std::size_t>(rng.NextInt(0, 3 * nodes));
+    for (std::size_t i = 0; i < links; ++i) {
+      const auto u = static_cast<NodeId>(rng.NextUint64(nodes));
+      const auto v = static_cast<NodeId>(rng.NextUint64(nodes));
+      if (u == v) continue;
+      g.AddEdge(u, v);
+      if (rng.NextBernoulli(0.3)) g.AddEdge(v, u);  // a parallel link
+    }
+    FailureSet failures{g};
+    for (std::size_t n = 0; n < nodes; ++n) {
+      if (rng.NextBernoulli(0.1)) failures.KillNode(static_cast<NodeId>(n));
+    }
+    for (EdgeId e = 0; static_cast<std::size_t>(e) < g.EdgeCount(); ++e) {
+      if (rng.NextBernoulli(0.15)) failures.KillEdge(e);
+    }
+    std::vector<NodeId> order(nodes);
+    std::iota(order.begin(), order.end(), NodeId{0});
+    rng.Shuffle(order);
+    const auto size_a = static_cast<std::size_t>(
+        rng.NextInt(1, static_cast<std::int64_t>(std::min<std::size_t>(3, nodes - 1))));
+    const auto size_b = static_cast<std::size_t>(rng.NextInt(
+        1, static_cast<std::int64_t>(std::min<std::size_t>(3, nodes - size_a))));
+    const std::vector<NodeId> side_a(order.begin(), order.begin() + size_a);
+    const std::vector<NodeId> side_b(order.begin() + size_a,
+                                     order.begin() + size_a + size_b);
+    const std::int64_t want = BruteForceSetCut(g, failures, side_a, side_b);
+    EXPECT_EQ(MinCutBetween(g, side_a, side_b, &failures), want);
+    EXPECT_EQ(MinCutBetween(g, side_b, side_a, &failures), want);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "metrics/bisection.h"
 #include "metrics/path_metrics.h"
 #include "metrics/report.h"
+#include "reference.h"
 #include "topology/abccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
@@ -119,7 +120,8 @@ TEST(ReportTest, SummarizeAgreesWithDirectMeasurements) {
   EXPECT_DOUBLE_EQ(report.bisection_theory, net.TheoreticalBisection());
   EXPECT_GE(report.routing_stretch, 1.0);
   EXPECT_GT(report.aspl, 0.0);
-  EXPECT_LE(report.diameter, net.RouteLengthBound());
+  // Every sampled source's eccentricity is the diameter.
+  EXPECT_EQ(report.diameter, CubeDiameter(1, 2));
   EXPECT_GT(report.capex.total_usd, 0.0);
 }
 
