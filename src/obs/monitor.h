@@ -11,9 +11,9 @@
 // are bit-identical across platforms and across `DCN_THREADS` as long as the
 // per-window integer counts fed in are identical. The sharded packet engine
 // guarantees exactly that (see sim/packetsim.cc): members count events for
-// their own link block, the coordinator steps finished windows between
-// barriers, and both engines attribute events to windows with the one
-// obs::WindowOf rule (obs/timeseries.h).
+// their own link block, member 0 steps the finished windows after each
+// engine window's end barrier, and both engines attribute events to windows
+// with the one obs::WindowOf rule (obs/timeseries.h).
 //
 // Detector math per (signal, entity), value V fed as Q16 (v << 16):
 //

@@ -143,13 +143,13 @@ class LinkHealthHarness {
   void CountDrop(std::uint32_t window, std::uint64_t link);
 
   // Sharded engine: steps window `window` from externally accumulated
-  // per-link rows (the coordinator owns the window matrices).
+  // per-link rows (member 0 steps them between the engine's barriers).
   void StepFrom(const std::uint32_t* tx_row, const std::uint32_t* drop_row);
   std::uint32_t Stepped() const;
 
   // Measured-delivery recovery aggregates (identical call order in both
-  // engines: the coordinator replays merged deliveries in (time, key) order,
-  // which is the serial delivery order).
+  // engines: the sharded engine's member 0 replays merged deliveries in
+  // (time, key) order, which is the serial delivery order).
   void AddDelivery(double time, double latency);
 
   // Flushes remaining windows and returns the result (harness is spent).

@@ -136,6 +136,23 @@ RoutePlan FlattenRoutes(const graph::Graph& graph,
 // serial event loop pops generate events in ((time, key) with one pending
 // generate per source), so the shared RNG stream is consumed draw-for-draw
 // identically and the schedule is byte-identical to the serial engine's.
+// The (time, source) pairs are unique, so every min-heap pops them in that
+// same order.
+
+// Overwrites the top of a min-heap with `entry` and sifts it down once: one
+// pass where a pop and a push would take two.
+template <typename T>
+void ReplaceTop(std::vector<T>& heap, const T& entry) {
+  const std::size_t n = heap.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < entry)) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = entry;
+}
 
 struct Injection {
   double time = 0.0;
@@ -157,16 +174,16 @@ InjectionSchedule BuildInjections(const RoutePlan& plan, std::size_t sources,
   InjectionSchedule schedule;
   Rng rng{config.seed};
   using Entry = std::pair<double, std::uint32_t>;  // (time, source)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  std::vector<std::size_t> next_candidate(sources, 0);
+  std::vector<Entry> heap;
+  heap.reserve(sources);
   for (std::uint32_t source = 0; source < sources; ++source) {
-    heap.push({rng.NextExponential(config.offered_load), source});
+    heap.push_back({rng.NextExponential(config.offered_load), source});
   }
-  while (!heap.empty()) {
-    const auto [now, source] = heap.top();
-    heap.pop();
+  std::make_heap(heap.begin(), heap.end(), std::greater<Entry>());
+  std::vector<std::size_t> next_candidate(sources, 0);
+  while (!heap.empty() && heap.front().first < config.duration) {
+    const auto [now, source] = heap.front();
     ++schedule.generate_events;
-    if (now >= config.duration) continue;  // source retires; no draw
     const std::size_t span = plan.offset[source + 1] - plan.offset[source];
     std::size_t pick = 0;
     if (span > 1) {
@@ -180,8 +197,12 @@ InjectionSchedule BuildInjections(const RoutePlan& plan, std::size_t sources,
     schedule.injections.push_back(
         {now, source,
          static_cast<std::uint32_t>(plan.offset[source] + pick)});
-    heap.push({now + rng.NextExponential(config.offered_load), source});
+    ReplaceTop(heap, Entry{now + rng.NextExponential(config.offered_load),
+                           source});
   }
+  // The earliest arrival is past `duration`, so every remaining source
+  // retires: one pop each, no draw.
+  schedule.generate_events += heap.size();
   return schedule;
 }
 
@@ -197,7 +218,7 @@ struct ObsLocals {
 
 // One delivered measured packet into the result sketches. Called at the
 // exact same logical point by every engine: inline at delivery in the serial
-// loop, and from the coordinator's (time, key)-merged delivery replay in the
+// loop, and from member 0's (time, key)-merged replay of each window in the
 // sharded loop — and since sketch adds are integer bucket increments, the
 // readouts are identical either way.
 void AddDeliveryTelemetry(PacketTelemetry& telemetry, double latency,
@@ -525,25 +546,32 @@ PacketSimResult RunPacketSimSerialImpl(
 // per team member (links are adjacency-ordered, so a block approximates a
 // switch domain). Unit service time is the conservative lookahead: every
 // event scheduled from inside the window [w, w+1) lands at or beyond w+1, so
-// the window's events across all shards are causally closed and each round
-// advances every shard through one window between barriers:
+// the window's events across all shards are causally closed, and each window
+// costs every member two barrier arrivals:
 //
-//   Phase A (read-only)  resolve the window's departs; post cross-shard
-//                        arrival handoffs into per-(member, member) outboxes.
-//   Phase C (mutating)   each member sorts its departs + inbox arrivals +
-//                        injections by (time, key, kind, id) and applies them
-//                        to its own links only.
-//   Coordinator          member 0 merges per-member delivery / flight-op
-//                        buffers by the same stable order, replays them into
-//                        the order-sensitive sinks (SampleSet, recorder), and
-//                        opens the next window at the global minimum pending
-//                        event time.
+//   Resolve  split my pending departs into this window's and later ones,
+//            read each due depart's head packet, and post its handoff to
+//            the next link's owner in a per-(member, member) outbox row.
+//   -- barrier: every outbox row is final --
+//   Apply    group my due departs, the arrivals handed to me and the
+//            injections entering at my links by link, then run each link's
+//            group in (time, key, kind, id) order.
+//   -- barrier: the window is applied --
+//   Next     every member computes the next window from `mins` and its own
+//            copy of the injection cursor, so all reach the same value;
+//            member 0 also replays the finished window's deliveries and
+//            flight ops, merged back into the serial engine's order, into
+//            the order-sensitive sinks (SampleSet, sketches, monitor,
+//            recorder) while the others resolve the next window.
 //
-// Every cross-member merge happens in (time, key) order with the packet id as
-// a final stable tie-break, never in execution order, so the result is
-// byte-identical for any team size — including 1, which is also byte-identical
-// to the serial engine above because it pops the very same (time, key)
-// order.
+// Only each link's order is observable: a link's queue and capacity are
+// touched by that link's own events alone, and everything else an event
+// writes is an integer tally, a minimum, the state of the packet it carries,
+// or a record member 0 re-sorts by a strict total order. So a member runs its
+// links in any order, sorting only each link's handful of events, and the
+// result is byte-identical for any team size — including 1, which is also
+// byte-identical to the serial engine above because it pops the very same
+// (time, key) order.
 
 constexpr std::uint8_t kDepartEvent = 0;   // head of `link` finished service
 constexpr std::uint8_t kArrivalEvent = 1;  // handoff onto `link`
@@ -625,29 +653,21 @@ bool OpBefore(const FlightOp& a, const FlightOp& b) {
 // own buffers, and their own outbox row; everything crossing members is
 // either read-only for the phase or separated by a barrier.
 struct Member {
-  std::vector<PendingDepart> pending;  // all future departs of my links
-  std::vector<PendingDepart> kept;     // scratch for the window partition
-  std::vector<ShardEvent> events;      // this window's work list
+  // All future departs of my links. From the resolve phase until the
+  // window's events are placed, the window's due departs sit at the tail.
+  std::vector<PendingDepart> pending;
+  std::vector<ShardEvent> events;  // this window's work, grouped by link
+  std::vector<std::uint64_t> touched;  // my links with events this window
   std::vector<std::vector<ShardEvent>> outbox;  // by destination member
   std::vector<DeliveryRec> deliveries;
   std::vector<FlightOp> ops;
-  double min_next = kNever;
   std::uint64_t delivered = 0;
   std::uint64_t dropped = 0;
-  std::uint64_t handoffs = 0;   // cross-link forwards posted in Phase A
-  std::uint64_t processed = 0;  // events applied in Phase C
+  std::uint64_t handoffs = 0;   // cross-link forwards posted while resolving
+  std::uint64_t processed = 0;  // events applied
   int max_depth = 0;
   std::vector<std::uint64_t> depth_hist;
   std::vector<std::uint64_t> hops_hist;
-};
-
-// Window bounds + injection range, published by the coordinator between
-// barriers and read by every member after the next one.
-struct WindowControl {
-  double w_hi = 0.0;
-  std::size_t inj_begin = 0;
-  std::size_t inj_end = 0;
-  bool done = false;
 };
 
 PacketSimResult RunPacketSimMultipathSharded(
@@ -669,24 +689,43 @@ PacketSimResult RunPacketSimMultipathSharded(
     if (inj.time >= config.warmup) ++result.measured;
   }
 
-  // Mid-run faults. Capacity ops are pre-partitioned by link owner; each
-  // member applies its own ops in time order before the events that read
-  // them, so every enqueue sees the identical per-link capacity the serial
-  // engine would (capacity is only ever read by the link's owner, and member
-  // event times are monotone within and across windows).
-  const std::vector<LinkCapOp> fault_ops =
+  // Mid-run faults. A link's capacity is read only at its own enqueues, so
+  // each link needs only its own ops in order: fault_ops is re-sorted
+  // stably by link (each link keeps its (time, schedule) order), and the
+  // link's owner advances the link's cursor before each of its events by the
+  // serial loop's `time <= now` rule. Every enqueue then sees the serial
+  // engine's capacity, with no time order needed across links.
+  std::vector<LinkCapOp> fault_ops =
       config.faults.Empty()
           ? std::vector<LinkCapOp>{}
           : ExpandFaultSchedule(graph, config.faults, config.queue_capacity);
+  std::stable_sort(fault_ops.begin(), fault_ops.end(),
+                   [](const LinkCapOp& a, const LinkCapOp& b) {
+                     return a.link < b.link;
+                   });
   std::vector<std::int32_t> caps;
-  if (!fault_ops.empty()) caps.assign(link_count, config.queue_capacity);
+  std::vector<std::size_t> cap_next;  // per link: index of its next op
+  if (!fault_ops.empty()) {
+    caps.assign(link_count, config.queue_capacity);
+    cap_next.assign(link_count, fault_ops.size());
+    for (std::size_t i = fault_ops.size(); i-- > 0;) {
+      cap_next[fault_ops[i].link] = i;
+    }
+  }
+  auto apply_cap_ops = [&](std::uint64_t link, double now) {
+    std::size_t& i = cap_next[link];
+    while (i < fault_ops.size() && fault_ops[i].link == link &&
+           fault_ops[i].time <= now) {
+      caps[link] = fault_ops[i++].capacity;
+    }
+  };
 
   // Online health monitor. Members count departs/drops for their own link
-  // block into per-window matrices (barrier-separated from the coordinator's
-  // reads); the coordinator steps a window's detectors once no remaining
-  // event can touch it — every future event's time is >= `next`, so windows
-  // strictly before WindowOf(next) are final. Window attribution uses the
-  // same obs::WindowOf rule as the serial engine.
+  // block into per-window matrices (barrier-separated from member 0's
+  // reads); member 0 steps a window's detectors once no remaining event can
+  // touch it — every future event's time is >= `next`, so windows strictly
+  // before WindowOf(next) are final. Window attribution uses the same
+  // obs::WindowOf rule as the serial engine.
   LinkHealthHarness mon(graph, link_count, config.monitor, config.duration);
   const bool mon_on = mon.on();
   const double mon_width = mon_on ? mon.width() : 1.0;
@@ -712,11 +751,6 @@ PacketSimResult RunPacketSimMultipathSharded(
   auto owner_of = [&](std::uint64_t link) {
     return link_count == 0 ? 0 : static_cast<int>(link * team_u / link_count);
   };
-  std::vector<std::vector<LinkCapOp>> member_fault_ops(
-      static_cast<std::size_t>(team));
-  for (const LinkCapOp& op : fault_ops) {
-    member_fault_ops[static_cast<std::size_t>(owner_of(op.link))].push_back(op);
-  }
 
   std::vector<Member> members(static_cast<std::size_t>(team));
   for (Member& m : members) {
@@ -724,12 +758,22 @@ PacketSimResult RunPacketSimMultipathSharded(
     m.depth_hist.assign(static_cast<std::size_t>(config.queue_capacity) + 1, 0);
     m.hops_hist.assign(plan.longest_route + 1, 0);
   }
+  // Per directed link: the window's event count, then its group's fill
+  // cursor in the owner's `events`; zero between windows. Only the link's
+  // owner touches its entry.
+  std::vector<std::uint32_t> slot(link_count, 0);
+  // Earliest pending depart per member: written in the apply phase, read by
+  // every member after the window's end barrier.
   std::vector<double> mins(static_cast<std::size_t>(team), kNever);
-  WindowControl control;
+  // The next window's start: the earliest pending depart or injection. Every
+  // member calls this with its own injection cursor, and all agree.
+  auto earliest = [&](std::size_t cursor) {
+    double next = cursor < packet_count ? injections[cursor].time : kNever;
+    for (const double t : mins) next = std::min(next, t);
+    return next;
+  };
 
-  // Coordinator-only state (member 0's thread during the run; the calling
-  // thread before launch and after the join).
-  std::size_t cursor = 0;
+  // Replay state, member 0's alone during the run.
   std::uint64_t rounds = 0;
   std::int64_t fr_in_flight = 0;
   std::vector<std::uint32_t> rec_of(fr_sample ? packet_count : 0,
@@ -738,21 +782,12 @@ PacketSimResult RunPacketSimMultipathSharded(
   std::vector<FlightOp> merge_ops;
   std::vector<std::uint64_t> flow_delivered(plan.route_links.size(), 0);
 
-  auto open_window = [&](double next) {
-    if (next == kNever) {
-      control.done = true;
-      return;
-    }
-    control.w_hi = next + kServiceTime;
-    control.inj_begin = cursor;
-    while (cursor < packet_count && injections[cursor].time < control.w_hi) {
-      ++cursor;
-    }
-    control.inj_end = cursor;
-  };
-  open_window(packet_count > 0 ? injections[0].time : kNever);
-
-  auto coordinate = [&] {
+  // Member 0, right after a window's end barrier: feed the window's
+  // deliveries and flight ops to the order-sensitive sinks in the serial
+  // engine's order, then step the monitor windows that lie before `next`.
+  // The other members are resolving the next window meanwhile; they write
+  // their buffers again only after its outbox barrier.
+  auto replay = [&](double next) {
     OBS_SPAN("packetsim/coordinate");
     ++rounds;
     merge_deliveries.clear();
@@ -814,8 +849,6 @@ PacketSimResult RunPacketSimMultipathSharded(
         }
       }
     }
-    double next = cursor < packet_count ? injections[cursor].time : kNever;
-    for (double m : mins) next = std::min(next, m);
     if (mon_on) {
       // Windows strictly before the earliest remaining event are final.
       const std::uint32_t safe =
@@ -828,16 +861,12 @@ PacketSimResult RunPacketSimMultipathSharded(
                      win_drop.data() + w * link_count);
       }
     }
-    open_window(next);
   };
 
   OBS_SPAN("packetsim/run");
   RunTeam(team, [&](int me, SpinBarrier& barrier) {
     OBS_SPAN("packetsim/shard");
     Member& m = members[static_cast<std::size_t>(me)];
-    const std::vector<LinkCapOp>& my_fault_ops =
-        member_fault_ops[static_cast<std::size_t>(me)];
-    std::size_t fault_cursor = 0;
 
     // Enqueue `id` onto `e.link` (or drop), exactly the serial engine's
     // logic, with flight calls buffered at sub_base/sub_base+1.
@@ -879,26 +908,98 @@ PacketSimResult RunPacketSimMultipathSharded(
       if (service_now) m.pending.push_back({e.time + kServiceTime, e.link});
     };
 
-    for (;;) {
-      barrier.Arrive();  // window published by the coordinator
-      if (control.done) break;
-      const double w_hi = control.w_hi;
-
-      // Phase A (read-only): split pending departs into this window vs later,
-      // resolve each due depart's head packet, and post the handoff to the
-      // next link's owner. Heads are stable here: same-window arrivals join
-      // the FIFO tail, never the head.
-      m.events.clear();
-      for (std::vector<ShardEvent>& row : m.outbox) row.clear();
-      m.kept.clear();
-      for (const PendingDepart& d : m.pending) {
-        if (d.time >= w_hi) {
-          m.kept.push_back(d);
-          continue;
+    // The one event kind that does more than enqueue: pop the head, start
+    // the next packet's service, deliver or leave the forward to the
+    // matching kArrivalEvent (possibly on another member).
+    auto apply_depart = [&](const ShardEvent& e) {
+      const std::uint32_t id = store.PopFront(e.link);
+      DCN_ASSERT(id == e.id);
+      if (mon_on) {
+        const std::uint32_t w = obs::WindowOf(e.time, mon_width);
+        if (w < mon_windows) {
+          ++win_tx[static_cast<std::size_t>(w) * link_count + e.link];
         }
+      }
+      if (fr_ts) {
+        m.ops.push_back(
+            {e.time, e.key, 0, FlightOpKind::kTransmit, 0, e.link, 0});
+      }
+      if (fr_sample && sampled[id] != 0) {
+        m.ops.push_back({e.time, e.key, 1, FlightOpKind::kHopDepart, id, 0, 0});
+      }
+      if (!store.Empty(e.link)) {
+        m.pending.push_back({e.time + kServiceTime, e.link});
+        const std::uint32_t front = store.Front(e.link);
+        if (fr_sample && sampled[front] != 0) {
+          m.ops.push_back(
+              {e.time, e.key, 2, FlightOpKind::kServiceStart, front, 0, 0});
+        }
+      }
+      Packet& p = pool[id];
+      ++p.hop;
+      if (p.hop == plan.route_links[p.route].size()) {
+        ++m.hops_hist[p.hop];
+        if (p.measured) {
+          ++m.delivered;
+          m.deliveries.push_back(
+              {e.time, e.key, e.time - p.born, p.hop, p.route});
+        }
+        if (fr_sample && sampled[id] != 0) {
+          m.ops.push_back(
+              {e.time, e.key, 3, FlightOpKind::kDelivered, id, 0, 0});
+        }
+        if (fr_ts) {
+          m.ops.push_back(
+              {e.time, e.key, 4, FlightOpKind::kInFlight, 0, 0, -1});
+        }
+      }
+    };
+
+    auto apply_inject = [&](const ShardEvent& e) {
+      const Injection& inj = injections[e.id];
+      Packet p;
+      p.route = inj.route;
+      p.born = e.time;
+      p.measured = e.time >= config.warmup;
+      pool[e.id] = p;
+      if (fr_sample) {
+        const bool would = fr->WouldSample(e.id);
+        sampled[e.id] = would ? 1 : 0;
+        if (would) {
+          m.ops.push_back({e.time, e.key, 0, FlightOpKind::kBorn, e.id,
+                           inj.source, p.measured ? 1 : 0});
+        }
+      }
+      if (fr_ts) {
+        m.ops.push_back({e.time, e.key, 1, FlightOpKind::kInFlight, 0, 0, 1});
+      }
+      apply_enqueue(e, 2);
+    };
+
+    std::size_t cursor = 0;  // my copy of the injection cursor
+    for (double next = earliest(cursor); next != kNever;) {
+      const double w_hi = next + kServiceTime;
+      const std::size_t inj_begin = cursor;
+      while (cursor < packet_count && injections[cursor].time < w_hi) {
+        ++cursor;
+      }
+
+      // Resolve (read-only on shared state): move the departs due in this
+      // window behind the later ones, read each due depart's head packet and
+      // post the handoff to the next link's owner. A head stays put until
+      // its link's depart is applied: same-window arrivals join the FIFO
+      // tail, never the head.
+      for (std::vector<ShardEvent>& row : m.outbox) row.clear();
+      const auto kept = static_cast<std::size_t>(
+          std::partition(m.pending.begin(), m.pending.end(),
+                         [w_hi](const PendingDepart& d) {
+                           return d.time >= w_hi;
+                         }) -
+          m.pending.begin());
+      for (std::size_t i = kept; i < m.pending.size(); ++i) {
+        const PendingDepart& d = m.pending[i];
         DCN_ASSERT(!store.Empty(d.link));
         const std::uint32_t id = store.Front(d.link);
-        m.events.push_back({d.time, d.link, d.link, id, kDepartEvent});
         const Packet& p = pool[id];
         const std::vector<std::uint64_t>& links = plan.route_links[p.route];
         if (p.hop + 1 < links.size()) {
@@ -908,103 +1009,69 @@ PacketSimResult RunPacketSimMultipathSharded(
           ++m.handoffs;
         }
       }
-      m.pending.swap(m.kept);
 
       barrier.Arrive();  // every outbox row is final
 
-      // Phase C (mutating): my departs + arrivals handed to me + my
-      // injections, applied in the documented (time, key, kind, id) order.
-      for (const Member& from : members) {
-        const std::vector<ShardEvent>& in =
-            from.outbox[static_cast<std::size_t>(me)];
-        m.events.insert(m.events.end(), in.begin(), in.end());
-      }
-      for (std::size_t i = control.inj_begin; i < control.inj_end; ++i) {
-        const Injection& inj = injections[i];
-        const std::uint64_t first = plan.route_links[inj.route][0];
-        if (owner_of(first) != me) continue;
-        m.events.push_back({inj.time, link_count + inj.source, first,
-                            static_cast<std::uint32_t>(i), kInjectEvent});
-      }
-      std::sort(m.events.begin(), m.events.end(), EventBefore);
-      m.processed += m.events.size();
+      // Every event of the window that applies to my links: my due departs,
+      // the arrivals handed to me and the injections entering at my links.
+      auto for_each_event = [&](auto&& visit) {
+        for (std::size_t i = kept; i < m.pending.size(); ++i) {
+          const PendingDepart& d = m.pending[i];
+          visit(ShardEvent{d.time, d.link, d.link, store.Front(d.link),
+                           kDepartEvent});
+        }
+        for (const Member& from : members) {
+          for (const ShardEvent& e : from.outbox[static_cast<std::size_t>(me)]) {
+            visit(e);
+          }
+        }
+        for (std::size_t i = inj_begin; i < cursor; ++i) {
+          const Injection& inj = injections[i];
+          const std::uint64_t first = plan.route_links[inj.route][0];
+          if (owner_of(first) != me) continue;
+          visit(ShardEvent{inj.time, link_count + inj.source, first,
+                           static_cast<std::uint32_t>(i), kInjectEvent});
+        }
+      };
 
-      for (const ShardEvent& e : m.events) {
-        while (fault_cursor < my_fault_ops.size() &&
-               my_fault_ops[fault_cursor].time <= e.time) {
-          caps[my_fault_ops[fault_cursor].link] =
-              my_fault_ops[fault_cursor].capacity;
-          ++fault_cursor;
-        }
-        if (e.kind == kDepartEvent) {
-          const std::uint32_t id = store.PopFront(e.link);
-          DCN_ASSERT(id == e.id);
-          if (mon_on) {
-            const std::uint32_t w = obs::WindowOf(e.time, mon_width);
-            if (w < mon_windows) {
-              ++win_tx[static_cast<std::size_t>(w) * link_count + e.link];
-            }
+      // Apply: count my events per link, give each touched link a slot
+      // range in `events`, place every event straight into its link's range,
+      // then run the links one by one, each group in the documented (time,
+      // key, kind, id) order.
+      for_each_event([&](const ShardEvent& e) {
+        if (slot[e.link]++ == 0) m.touched.push_back(e.link);
+      });
+      std::uint32_t total = 0;
+      for (const std::uint64_t link : m.touched) {
+        const std::uint32_t count = slot[link];
+        slot[link] = total;
+        total += count;
+      }
+      m.events.resize(total);
+      for_each_event([&](const ShardEvent& e) {
+        m.events[slot[e.link]++] = e;
+      });
+      m.pending.resize(kept);
+      m.processed += total;
+
+      auto group = m.events.begin();
+      for (const std::uint64_t link : m.touched) {
+        const auto group_end = m.events.begin() + slot[link];
+        slot[link] = 0;
+        std::sort(group, group_end, EventBefore);  // one link's few events
+        for (; group != group_end; ++group) {
+          const ShardEvent& e = *group;
+          if (!caps.empty()) apply_cap_ops(e.link, e.time);
+          if (e.kind == kDepartEvent) {
+            apply_depart(e);
+          } else if (e.kind == kArrivalEvent) {
+            apply_enqueue(e, 5);
+          } else {
+            apply_inject(e);
           }
-          if (fr_ts) {
-            m.ops.push_back(
-                {e.time, e.key, 0, FlightOpKind::kTransmit, 0, e.link, 0});
-          }
-          if (fr_sample && sampled[id] != 0) {
-            m.ops.push_back(
-                {e.time, e.key, 1, FlightOpKind::kHopDepart, id, 0, 0});
-          }
-          if (!store.Empty(e.link)) {
-            m.pending.push_back({e.time + kServiceTime, e.link});
-            const std::uint32_t front = store.Front(e.link);
-            if (fr_sample && sampled[front] != 0) {
-              m.ops.push_back(
-                  {e.time, e.key, 2, FlightOpKind::kServiceStart, front, 0, 0});
-            }
-          }
-          Packet& p = pool[id];
-          ++p.hop;
-          if (p.hop == plan.route_links[p.route].size()) {
-            ++m.hops_hist[p.hop];
-            if (p.measured) {
-              ++m.delivered;
-              m.deliveries.push_back(
-                  {e.time, e.key, e.time - p.born, p.hop, p.route});
-            }
-            if (fr_sample && sampled[id] != 0) {
-              m.ops.push_back(
-                  {e.time, e.key, 3, FlightOpKind::kDelivered, id, 0, 0});
-            }
-            if (fr_ts) {
-              m.ops.push_back(
-                  {e.time, e.key, 4, FlightOpKind::kInFlight, 0, 0, -1});
-            }
-          }
-          // Forwarding is the matching kArrivalEvent, possibly on another
-          // member.
-        } else if (e.kind == kArrivalEvent) {
-          apply_enqueue(e, 5);
-        } else {  // kInjectEvent
-          const Injection& inj = injections[e.id];
-          Packet p;
-          p.route = inj.route;
-          p.born = e.time;
-          p.measured = e.time >= config.warmup;
-          pool[e.id] = p;
-          if (fr_sample) {
-            const bool would = fr->WouldSample(e.id);
-            sampled[e.id] = would ? 1 : 0;
-            if (would) {
-              m.ops.push_back({e.time, e.key, 0, FlightOpKind::kBorn, e.id,
-                               inj.source, p.measured ? 1 : 0});
-            }
-          }
-          if (fr_ts) {
-            m.ops.push_back(
-                {e.time, e.key, 1, FlightOpKind::kInFlight, 0, 0, 1});
-          }
-          apply_enqueue(e, 2);
         }
       }
+      m.touched.clear();
 
       double min_next = kNever;
       for (const PendingDepart& d : m.pending) {
@@ -1012,8 +1079,12 @@ PacketSimResult RunPacketSimMultipathSharded(
       }
       mins[static_cast<std::size_t>(me)] = min_next;
 
-      barrier.Arrive();  // every mutation and buffer for this window is done
-      if (me == 0) coordinate();
+      barrier.Arrive();  // every member's window is applied
+
+      // `mins` is final until the next outbox barrier, after which it is
+      // rewritten; every member reads it here, before arriving there.
+      next = earliest(cursor);
+      if (me == 0) replay(next);
     }
   });
 
@@ -1079,7 +1150,7 @@ PacketSimResult RunPacketSimMultipathSharded(
     h_shard.Add(static_cast<std::int64_t>(m.processed));
   }
   if (mon_on) {
-    // The final coordinate() round saw next == kNever and stepped every
+    // The last window's replay saw next == kNever and stepped every
     // remaining window, so Finish() only moves the result out.
     result.monitor = mon.Finish();
     obs::monitor::PublishRun("packetsim", config.faults.events.size(),

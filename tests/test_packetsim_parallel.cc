@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -158,6 +159,33 @@ void ExpectSameObs(const ObsReadout& a, const ObsReadout& b) {
   EXPECT_EQ(a.depth_sum, b.depth_sum);
   EXPECT_EQ(a.hops_count, b.hops_count);
   EXPECT_EQ(a.hops_sum, b.hops_sum);
+}
+
+// The replayed record stream must be the serial engine's call-for-call:
+// same packets, same hop timestamps, same drop/delivery flags.
+void ExpectSameRecords(const flight::RunSnapshot& got_run,
+                       const flight::RunSnapshot& want_run) {
+  EXPECT_EQ(got_run.sampling_skipped, want_run.sampling_skipped);
+  ASSERT_EQ(got_run.packets.size(), want_run.packets.size());
+  for (std::size_t p = 0; p < got_run.packets.size(); ++p) {
+    const flight::PacketRecord& got = got_run.packets[p];
+    const flight::PacketRecord& want = want_run.packets[p];
+    ASSERT_EQ(got.packet, want.packet);
+    EXPECT_EQ(got.source, want.source);
+    EXPECT_EQ(got.born, want.born);
+    EXPECT_EQ(got.measured, want.measured);
+    EXPECT_EQ(got.delivered, want.delivered);
+    EXPECT_EQ(got.completed, want.completed);
+    ASSERT_EQ(got.hops.size(), want.hops.size());
+    for (std::size_t h = 0; h < got.hops.size(); ++h) {
+      EXPECT_EQ(got.hops[h].link, want.hops[h].link);
+      EXPECT_EQ(got.hops[h].enqueue, want.hops[h].enqueue);
+      EXPECT_EQ(got.hops[h].start, want.hops[h].start);
+      EXPECT_EQ(got.hops[h].depart, want.hops[h].depart);
+      EXPECT_EQ(got.hops[h].dropped, want.hops[h].dropped);
+    }
+  }
+  EXPECT_EQ(got_run.lanes, want_run.lanes);
 }
 
 // Independent FIFO oracle for the per-link output queues. It reads only the
@@ -313,31 +341,133 @@ TEST_F(PacketSimParallelTest, RecorderOnStaysByteIdenticalAndNonPerturbing) {
     EXPECT_EQ(sharded.delivered, dark.delivered);
     EXPECT_EQ(sharded.dropped, dark.dropped);
     ExpectSameSamples(sharded.latency, dark.latency);
-    // The replayed record stream must be the serial engine's call-for-call:
-    // same packets, same hop timestamps, same drop/delivery flags.
     const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
     ASSERT_EQ(runs.size(), 1u);
-    EXPECT_EQ(runs[0].sampling_skipped, serial_runs[0].sampling_skipped);
-    ASSERT_EQ(runs[0].packets.size(), serial_runs[0].packets.size());
-    for (std::size_t p = 0; p < runs[0].packets.size(); ++p) {
-      const flight::PacketRecord& got = runs[0].packets[p];
-      const flight::PacketRecord& want = serial_runs[0].packets[p];
-      ASSERT_EQ(got.packet, want.packet);
-      EXPECT_EQ(got.source, want.source);
-      EXPECT_EQ(got.born, want.born);
-      EXPECT_EQ(got.measured, want.measured);
-      EXPECT_EQ(got.delivered, want.delivered);
-      EXPECT_EQ(got.completed, want.completed);
-      ASSERT_EQ(got.hops.size(), want.hops.size());
-      for (std::size_t h = 0; h < got.hops.size(); ++h) {
-        EXPECT_EQ(got.hops[h].link, want.hops[h].link);
-        EXPECT_EQ(got.hops[h].enqueue, want.hops[h].enqueue);
-        EXPECT_EQ(got.hops[h].start, want.hops[h].start);
-        EXPECT_EQ(got.hops[h].depart, want.hops[h].depart);
-        EXPECT_EQ(got.hops[h].dropped, want.hops[h].dropped);
+    ExpectSameRecords(runs[0], serial_runs[0]);
+  }
+}
+
+TEST_F(PacketSimParallelTest, MidRunFaultsMatchSerialReferenceOnEveryShard) {
+  // A mid-run schedule with a kill, degrades, restores and a node kill on
+  // the busiest edge of each quarter of the edge range, so at 2, 3 and 7
+  // threads the ops land on links of different members. The sharded engine
+  // advances each link's capacity ops from that link's own cursor, the
+  // serial loop from one time-ordered cursor; they must agree byte for
+  // byte, recorder off and on.
+  PacketSimConfig config;
+  config.offered_load = 0.7;
+  config.duration = 240;
+  config.warmup = 30;
+  config.queue_capacity = 6;
+  const std::unique_ptr<topo::Topology> net =
+      topo::MakeTopology("abccc:n=4,k=2,c=3");
+  const Graph& g = net->Network();
+  const std::vector<Route> routes = PermutationRoutes(*net, 0x6004);
+  std::vector<std::uint32_t> flows(g.EdgeCount(), 0);
+  for (const Route& route : routes) {
+    for (const std::uint64_t link : routing::RouteDirectedLinks(g, route)) {
+      ++flows[link / 2];
+    }
+  }
+  std::array<graph::EdgeId, 4> busiest{};
+  for (std::size_t q = 0; q < busiest.size(); ++q) {
+    const auto first = flows.begin() +
+                       static_cast<std::ptrdiff_t>(q * flows.size() / 4);
+    const auto last = flows.begin() +
+                      static_cast<std::ptrdiff_t>((q + 1) * flows.size() / 4);
+    busiest[q] = static_cast<graph::EdgeId>(
+        std::max_element(first, last) - flows.begin());
+    ASSERT_GT(flows[static_cast<std::size_t>(busiest[q])], 0u);
+  }
+  const std::size_t link_count = 2 * g.EdgeCount();
+  for (const std::size_t threads : {2u, 3u, 7u}) {
+    // The engine's block partition: link L belongs to L * team / links.
+    EXPECT_NE(2 * static_cast<std::size_t>(busiest[0]) * threads / link_count,
+              2 * static_cast<std::size_t>(busiest[3]) * threads / link_count);
+  }
+
+  // Kill busiest[0] exactly at the instant a packet joins it in the
+  // fault-free run, before every other op: that enqueue must already see
+  // the kill (the serial loop's `time <= now` rule).
+  flight::Config fc;
+  fc.sample_rate = 1.0;
+  fc.latency_breakdown = true;
+  flight::Enable(fc);
+  SetThreadCount(1);
+  const PacketSimResult fault_free = RunPacketSimSerial(g, routes, config);
+  // The earliest hop onto `edge` at or after `from` (accepted ones only
+  // when asked).
+  const auto enqueue_onto = [&](const flight::RunSnapshot& run,
+                                graph::EdgeId edge, double from,
+                                bool accepted_only) {
+    const flight::HopRecord* found = nullptr;
+    for (const flight::PacketRecord& packet : run.packets) {
+      for (const flight::HopRecord& hop : packet.hops) {
+        if (hop.link / 2 == static_cast<std::uint64_t>(edge) &&
+            hop.enqueue >= from && !(accepted_only && hop.dropped) &&
+            (found == nullptr || hop.enqueue < found->enqueue)) {
+          found = &hop;
+        }
       }
     }
-    EXPECT_EQ(runs[0].lanes, serial_runs[0].lanes);
+    return found;
+  };
+  double kill_at = 0.0;
+  {
+    const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+    ASSERT_EQ(runs.size(), 1u);
+    const flight::HopRecord* hop =
+        enqueue_onto(runs[0], busiest[0], 60.0, true);
+    ASSERT_NE(hop, nullptr);
+    kill_at = hop->enqueue;
+  }
+  ASSERT_LT(kill_at, 90.0);
+  const graph::NodeId kill_node = [&] {
+    const auto [u, v] = g.Endpoints(busiest[3]);
+    return g.IsSwitch(u) ? u : v;
+  }();
+  config.faults.KillLink(kill_at, busiest[0])
+      .DegradeLink(90.0, busiest[1], 1)
+      .DegradeLink(110.0, busiest[2], 0)
+      .RestoreLink(110.0, busiest[2])  // same instant: the later entry wins
+      .KillNode(120.0, kill_node)
+      .RestoreLink(150.0, busiest[0])
+      .RestoreLink(170.0, busiest[1]);
+
+  for (const bool recorder : {false, true}) {
+    SCOPED_TRACE(recorder);
+    if (recorder) {
+      flight::Enable(fc);
+    } else {
+      flight::Disable();
+    }
+    SetThreadCount(1);
+    obs::Reset();
+    const PacketSimResult serial = RunPacketSimSerial(g, routes, config);
+    const ObsReadout serial_obs = TakeObsReadout();
+    EXPECT_GT(serial.dropped, fault_free.dropped);
+    std::vector<flight::RunSnapshot> serial_runs;
+    if (recorder) {
+      serial_runs = flight::TakeRunsSnapshot();
+      ASSERT_EQ(serial_runs.size(), 1u);
+      const flight::HopRecord* hop =
+          enqueue_onto(serial_runs[0], busiest[0], kill_at, false);
+      ASSERT_NE(hop, nullptr);
+      EXPECT_EQ(hop->enqueue, kill_at);
+      EXPECT_TRUE(hop->dropped);
+    }
+    for (int threads : {2, 3, 7}) {
+      SCOPED_TRACE(threads);
+      SetThreadCount(threads);
+      obs::Reset();
+      ExpectSameResult(RunPacketSim(g, routes, config), serial);
+      ExpectSameObs(TakeObsReadout(), serial_obs);
+      if (recorder) {
+        const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+        ASSERT_EQ(runs.size(), 1u);
+        ExpectSameRecords(runs[0], serial_runs[0]);
+      }
+    }
   }
 }
 
@@ -428,10 +558,11 @@ TEST_F(PacketSimParallelTest, RandomGraphsMatchSerialReference) {
 }
 
 TEST_F(PacketSimParallelTest, SeededFuzzOverTopologyLoadFailuresAndShards) {
-  // Satellite: randomized sweep over (topology, load, failure set, shard
-  // count). Routes are shortest live paths around the killed edges; the
-  // sharded engine must agree with the serial reference byte-for-byte, and
-  // with itself across repeat runs (documented tie-break order, not luck).
+  // Randomized sweep over (topology, load, failure set, mid-run fault
+  // schedule, shard count). Routes are shortest live paths around the killed
+  // edges; the sharded engine must agree with the serial reference
+  // byte-for-byte, and with itself across repeat runs (documented tie-break
+  // order, not luck).
   const std::vector<std::string> specs = {"abccc:n=4,k=2,c=3", "bcube:n=4,k=2",
                                           "dcell:n=4,k=1"};
   const double loads[] = {0.3, 0.7, 1.2};
@@ -462,6 +593,36 @@ TEST_F(PacketSimParallelTest, SeededFuzzOverTopologyLoadFailuresAndShards) {
     config.warmup = 25;
     config.queue_capacity = 1 + static_cast<int>(fuzz.NextUint64(8));
     config.seed = fuzz.NextUint64(~0ull);
+    // A random mid-run fault schedule, drawn from its own stream so that the
+    // fuzz's other draws do not depend on it: kills, degrades, restores and
+    // node kills at random times, a quarter of them at the same instant as
+    // the op before.
+    Rng chaos{config.seed ^ 0xfa175eedull};
+    const std::size_t fault_count = chaos.NextUint64(9);
+    double at = 0.0;
+    for (std::size_t f = 0; f < fault_count; ++f) {
+      if (chaos.NextUint64(4) != 0) at = chaos.NextDouble() * config.duration;
+      const auto edge =
+          static_cast<graph::EdgeId>(chaos.NextUint64(g.EdgeCount()));
+      switch (chaos.NextUint64(4)) {
+        case 0:
+          config.faults.KillLink(at, edge);
+          break;
+        case 1:
+          config.faults.DegradeLink(
+              at, edge,
+              static_cast<int>(chaos.NextUint64(
+                  static_cast<std::uint64_t>(config.queue_capacity) + 1)));
+          break;
+        case 2:
+          config.faults.RestoreLink(at, edge);
+          break;
+        default:
+          config.faults.KillNode(
+              at, static_cast<graph::NodeId>(chaos.NextUint64(g.NodeCount())));
+          break;
+      }
+    }
 
     SetThreadCount(1);
     const PacketSimResult serial = RunPacketSimSerial(g, routes, config);
