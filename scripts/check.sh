@@ -4,9 +4,10 @@
 # oversubscribed thread count so scheduling interleavings vary; the
 # determinism suites then prove results are still bit-identical. The Release
 # build also re-runs every deterministic bench against results/
-# (scripts/check_tables.sh), smoke-tests the end-to-end benchmark
-# (perfbench/smoke_test.py), the one place speed is measured and gated, and
-# checks every telemetry sink (scripts/check_telemetry.sh).
+# (scripts/check_tables.sh), runs every example (scripts/run_examples.sh),
+# smoke-tests the end-to-end benchmark (perfbench/smoke_test.py), the one
+# place speed is measured and gated, and checks every telemetry sink
+# (scripts/check_telemetry.sh).
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -24,6 +25,10 @@ ctest --preset release -j "$JOBS" ${CTEST_ARGS+"${CTEST_ARGS[@]}"}
 echo
 echo "== Table byte-identity gate =="
 scripts/check_tables.sh build
+
+echo
+echo "== Example run gate =="
+scripts/run_examples.sh build
 
 echo
 echo "== End-to-end benchmark smoke test =="

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -20,24 +19,6 @@ void OnlineStats::Add(double x) {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void OnlineStats::Merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double OnlineStats::Mean() const {
@@ -104,19 +85,6 @@ std::int64_t IntHistogram::Percentile(double fraction) const {
     if (static_cast<double>(seen) >= target) return value;
   }
   return buckets_.rbegin()->first;
-}
-
-std::string IntHistogram::ToString() const {
-  std::ostringstream out;
-  out << "{";
-  bool first = true;
-  for (const auto& [value, weight] : buckets_) {
-    if (!first) out << ", ";
-    first = false;
-    out << value << ": " << weight;
-  }
-  out << "}";
-  return out.str();
 }
 
 void SampleSet::Add(double value) {

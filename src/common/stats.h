@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 namespace dcn {
@@ -12,7 +11,6 @@ namespace dcn {
 class OnlineStats {
  public:
   void Add(double x);
-  void Merge(const OnlineStats& other);
 
   std::int64_t Count() const { return count_; }
   double Mean() const;
@@ -48,8 +46,6 @@ class IntHistogram {
   // fraction in (0, 1]; Percentile(0.5) is the median.
   std::int64_t Percentile(double fraction) const;
   const std::map<std::int64_t, std::int64_t>& Buckets() const { return buckets_; }
-
-  std::string ToString() const;
 
  private:
   std::map<std::int64_t, std::int64_t> buckets_;

@@ -63,10 +63,6 @@ class CsrView {
   std::pair<NodeId, NodeId> Endpoints(EdgeId edge) const {
     return endpoints_[edge];
   }
-  NodeId OtherEnd(EdgeId edge, NodeId node) const {
-    const auto [u, v] = endpoints_[edge];
-    return node == u ? v : u;
-  }
 
   std::size_t ServerCount() const { return servers_.size(); }
   std::span<const NodeId> Servers() const { return servers_; }

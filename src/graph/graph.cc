@@ -100,12 +100,6 @@ std::pair<NodeId, NodeId> Graph::Endpoints(EdgeId edge) const {
   return endpoints_[edge];
 }
 
-NodeId Graph::OtherEnd(EdgeId edge, NodeId node) const {
-  const auto [u, v] = Endpoints(edge);
-  DCN_REQUIRE(node == u || node == v, "node is not an endpoint of edge");
-  return node == u ? v : u;
-}
-
 bool Graph::Adjacent(NodeId u, NodeId v) const {
   return FindEdge(u, v) != kInvalidEdge;
 }
@@ -138,18 +132,6 @@ void FailureSet::KillEdge(EdgeId edge) {
   edge_dead_[edge] = true;
 }
 
-void FailureSet::ReviveNode(NodeId node) {
-  DCN_REQUIRE(node >= 0 && static_cast<std::size_t>(node) < node_dead_.size(),
-              "FailureSet::ReviveNode id out of range");
-  node_dead_[node] = false;
-}
-
-void FailureSet::ReviveEdge(EdgeId edge) {
-  DCN_REQUIRE(edge >= 0 && static_cast<std::size_t>(edge) < edge_dead_.size(),
-              "FailureSet::ReviveEdge id out of range");
-  edge_dead_[edge] = false;
-}
-
 std::size_t FailureSet::DeadNodeCount() const {
   std::size_t count = 0;
   for (bool dead : node_dead_) count += dead ? 1 : 0;
@@ -160,10 +142,6 @@ std::size_t FailureSet::DeadEdgeCount() const {
   std::size_t count = 0;
   for (bool dead : edge_dead_) count += dead ? 1 : 0;
   return count;
-}
-
-std::string ToString(NodeKind kind) {
-  return kind == NodeKind::kServer ? "server" : "switch";
 }
 
 }  // namespace dcn::graph

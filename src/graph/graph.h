@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,8 +63,6 @@ class Graph {
   std::span<const HalfEdge> Neighbors(NodeId node) const;
   std::size_t Degree(NodeId node) const { return Neighbors(node).size(); }
   std::pair<NodeId, NodeId> Endpoints(EdgeId edge) const;
-  // The endpoint of `edge` that is not `node`.
-  NodeId OtherEnd(EdgeId edge, NodeId node) const;
   // True if some link directly connects u and v. O(min degree): the scan
   // runs over whichever endpoint has the smaller adjacency list.
   bool Adjacent(NodeId u, NodeId v) const;
@@ -112,8 +109,6 @@ class FailureSet {
 
   void KillNode(NodeId node);
   void KillEdge(EdgeId edge);
-  void ReviveNode(NodeId node);
-  void ReviveEdge(EdgeId edge);
 
   bool NodeDead(NodeId node) const {
     return node >= 0 && static_cast<std::size_t>(node) < node_dead_.size() &&
@@ -135,7 +130,5 @@ class FailureSet {
   std::vector<bool> node_dead_;
   std::vector<bool> edge_dead_;
 };
-
-std::string ToString(NodeKind kind);
 
 }  // namespace dcn::graph

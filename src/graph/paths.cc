@@ -238,24 +238,6 @@ std::vector<std::vector<NodeId>> EdgeDisjointPaths(const Graph& graph,
   return EdgeDisjointPaths(graph.Csr(), src, dst, *ws, max_paths, failures);
 }
 
-std::size_t EdgeConnectivity(const CsrView& csr, NodeId src, NodeId dst,
-                             FlowWorkspace& ws, const FailureSet* failures) {
-  CheckEndpoints(csr.NodeCount(), src, dst);
-  if (failures != nullptr &&
-      (failures->NodeDead(src) || failures->NodeDead(dst))) {
-    return 0;
-  }
-  BuildUnitArcs(csr, failures, ws);
-  return RunUnitFlow(ws, csr.NodeCount(), src, dst,
-                     std::numeric_limits<std::size_t>::max());
-}
-
-std::size_t EdgeConnectivity(const Graph& graph, NodeId src, NodeId dst,
-                             const FailureSet* failures) {
-  FlowScope ws;
-  return EdgeConnectivity(graph.Csr(), src, dst, *ws, failures);
-}
-
 std::int64_t MinCutBetween(const Graph& graph, std::span<const NodeId> side_a,
                            std::span<const NodeId> side_b,
                            const FailureSet* failures) {

@@ -40,14 +40,6 @@ std::vector<std::vector<NodeId>> EdgeDisjointPaths(
     std::size_t max_paths = static_cast<std::size_t>(-1),
     const FailureSet* failures = nullptr);
 
-// Cardinality only (cheaper than materializing paths).
-std::size_t EdgeConnectivity(const Graph& graph, NodeId src, NodeId dst,
-                             const FailureSet* failures = nullptr);
-
-std::size_t EdgeConnectivity(const CsrView& csr, NodeId src, NodeId dst,
-                             FlowWorkspace& ws,
-                             const FailureSet* failures = nullptr);
-
 // Min link cut separating the node sets `side_a` and `side_b` (non-empty,
 // disjoint, duplicates allowed) — bisection bandwidth in unit links. Each set
 // is contracted onto one node during the arc build (links inside a set are
@@ -57,11 +49,11 @@ std::int64_t MinCutBetween(const Graph& graph, std::span<const NodeId> side_a,
                            std::span<const NodeId> side_b,
                            const FailureSet* failures = nullptr);
 
-// Batched link-connectivity queries against one (graph, failure set). The
-// flat arc arrays are built once in the constructor; each query restores the
-// pristine capacities with a memcpy instead of re-scanning the edge list, so
-// a batch of Q queries pays one arc build instead of Q. Every answer is
-// bit-identical to the corresponding EdgeConnectivity call.
+// Link connectivity (the pair's max-flow value, cheaper than materializing
+// paths), batched against one (graph, failure set). The flat arc arrays are
+// built once in the constructor; each query restores the pristine capacities
+// with a memcpy instead of re-scanning the edge list, so a batch of Q queries
+// pays one arc build instead of Q. A batch of one is the single-shot query.
 //
 // Queries sorted by source get a second reuse level: pass
 // `repeated_source = true` when more queries from the same src follow, and

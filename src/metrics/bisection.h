@@ -38,7 +38,8 @@ PairCutStats SampledPairCuts(const topo::Topology& net, std::size_t pairs,
 // instead of S(S-1)/2. Pair counts per cut value come from a
 // descending-weight Kruskal merge over the tree, so the cost beyond the
 // tree build is O(V α(V)). Dead servers (under `failures`) count as cut-0
-// pairs, matching per-pair EdgeConnectivity. Requires >= 2 servers.
+// pairs, matching a per-pair EdgeConnectivityBatch query. Requires >= 2
+// servers.
 PairCutStats AllPairsCutStats(const topo::Topology& net,
                               const graph::FailureSet* failures = nullptr);
 

@@ -211,10 +211,6 @@ ExactPathStats ExactServerPathStats(const topo::Topology& net) {
   return FromSweep(graph::AllPairsDistanceSweep(csr));
 }
 
-ExactPathStats ExactServerPathStats(const topo::ImplicitCube& net) {
-  return FromSweep(graph::AllPairsDistanceSweep(net));
-}
-
 ExactPathStats SymmetryReducedPathStats(const topo::ImplicitCube& net) {
   // One representative server per role: ⟨0...0; j⟩. Digit translation maps
   // any source onto its role's representative while permuting the servers,

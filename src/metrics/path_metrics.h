@@ -33,19 +33,16 @@ struct ExactPathStats {
 // an exact integer, so results are bit-identical for any thread count.
 ExactPathStats ExactServerPathStats(const topo::Topology& net);
 
-// Same sweep over an implicit cube: no adjacency arrays are ever built, so
-// the only O(V) state is the traversal workspaces. Bit-identical to the
-// materialized overload on equal parameters (tests/test_implicit.cc).
-ExactPathStats ExactServerPathStats(const topo::ImplicitCube& net);
-
-// Exact path stats from role symmetry: translating every digit of a row
-// address by a fixed offset is an automorphism of the cube that acts
-// transitively on rows, so the multiset of distances out of a server depends
-// only on its role j. Sweeping the m = RowLength() representatives
-// ⟨0...0; j⟩ and scaling every count by RowCount() reproduces the full
-// ExactServerPathStats result exactly (including the average, computed from
-// the scaled integer totals) in O(m/64) BFS passes instead of O(S/64) —
-// the trick that makes exact million-server diameters interactive.
+// Exact path stats of an implicit cube (no adjacency arrays are ever built),
+// from role symmetry: translating every digit of a row address by a fixed
+// offset is an automorphism of the cube that acts transitively on rows, so
+// the multiset of distances out of a server depends only on its role j.
+// Sweeping the m = RowLength() representatives ⟨0...0; j⟩ and scaling every
+// count by RowCount() reproduces the full all-source sweep exactly
+// (including the average, computed from the scaled integer totals) in
+// O(m/64) BFS passes instead of O(S/64) — the trick that makes exact
+// million-server diameters interactive. A full sweep is impractical at the
+// sizes implicit cubes exist for, so this is the implicit entry point.
 ExactPathStats SymmetryReducedPathStats(const topo::ImplicitCube& net);
 
 struct SampledPathStats {

@@ -18,14 +18,13 @@ namespace {
 // exactly what the per-source BFS probed). The counts are plain integer
 // sums over a fixed draw set, so the fraction is a pure function of the
 // graph, the failure set, and the rng state.
-template <typename G>
-double SampleDisconnection(const G& g, const graph::ComponentSet& comp,
+double SampleDisconnection(const graph::CsrView& g,
+                           const graph::ComponentSet& comp,
                            const graph::FailureSet& failures,
                            std::size_t sample_pairs, Rng& rng) {
   DCN_REQUIRE(sample_pairs > 0, "need at least one sampled pair");
   std::vector<graph::NodeId> alive;
-  for (std::size_t i = 0; i < g.ServerCount(); ++i) {
-    const graph::NodeId server = g.ServerIdAt(i);
+  for (const graph::NodeId server : g.Servers()) {
     if (!failures.NodeDead(server)) alive.push_back(server);
   }
   if (alive.size() < 2) return 0.0;
@@ -50,36 +49,19 @@ double SampleDisconnection(const G& g, const graph::ComponentSet& comp,
   return static_cast<double>(disconnected) / static_cast<double>(measured);
 }
 
-// Shared engine over any TraversalGraph (CsrView, ImplicitCube): one
-// component sweep answers every sampled pair, replacing the per-source BFS
-// (and the 64-lane MS-BFS batches) this metric used to run. For graphs
-// without adjacency spans the labeling requires an edge-id-free failure set
-// (graph/implicit.h); node kills behave identically either way.
-template <typename G>
-double PairDisconnectionOver(const G& g, const graph::FailureSet& failures,
-                             std::size_t sample_pairs, Rng& rng) {
-  graph::ComponentSet comp;
-  graph::LabelComponents(g, &failures, comp);
-  static obs::Counter& c_sweeps = obs::GetCounter("resilience/component_sweeps");
-  c_sweeps.Add(1);
-  return SampleDisconnection(g, comp, failures, sample_pairs, rng);
-}
-
 }  // namespace
 
+// One component sweep answers every sampled pair, replacing the per-source
+// BFS (and the 64-lane MS-BFS batches) this metric used to run.
 double PairDisconnectionFraction(const topo::Topology& net,
                                  const graph::FailureSet& failures,
                                  std::size_t sample_pairs, Rng& rng) {
-  // Built (or fetched from cache) before the traversals so every worker
-  // shares one snapshot.
-  return PairDisconnectionOver(net.Network().Csr(), failures, sample_pairs,
-                               rng);
-}
-
-double PairDisconnectionFraction(const topo::ImplicitCube& net,
-                                 const graph::FailureSet& failures,
-                                 std::size_t sample_pairs, Rng& rng) {
-  return PairDisconnectionOver(net, failures, sample_pairs, rng);
+  const graph::CsrView& csr = net.Network().Csr();
+  graph::ComponentSet comp;
+  graph::LabelComponents(csr, &failures, comp);
+  static obs::Counter& c_sweeps = obs::GetCounter("resilience/component_sweeps");
+  c_sweeps.Add(1);
+  return SampleDisconnection(csr, comp, failures, sample_pairs, rng);
 }
 
 double ServerLossFraction(const topo::Topology& net,

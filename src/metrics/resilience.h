@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "topology/cabling.h"
-#include "topology/implicit.h"
 #include "topology/topology.h"
 
 namespace dcn::metrics {
@@ -20,14 +19,6 @@ namespace dcn::metrics {
 // Fraction of sampled ordered server pairs (both endpoints alive) that are
 // disconnected under the failure set. 0.0 = fully connected fabric.
 double PairDisconnectionFraction(const topo::Topology& net,
-                                 const graph::FailureSet& failures,
-                                 std::size_t sample_pairs, Rng& rng);
-
-// Implicit-cube overload: blast-radius analysis at sizes where the adjacency
-// arrays would never fit. Build the failure set with
-// FailureSet(net.NodeCount(), net.LinkCount()); implicit graphs have no edge
-// ids, so only node kills apply (traversals reject dead edges).
-double PairDisconnectionFraction(const topo::ImplicitCube& net,
                                  const graph::FailureSet& failures,
                                  std::size_t sample_pairs, Rng& rng);
 

@@ -56,18 +56,6 @@ void Disable() {
   state.enabled = false;
 }
 
-bool Enabled() {
-  FlightState& state = State();
-  std::lock_guard<std::mutex> lock{state.mutex};
-  return state.enabled;
-}
-
-Config CurrentConfig() {
-  FlightState& state = State();
-  std::lock_guard<std::mutex> lock{state.mutex};
-  return state.config;
-}
-
 // ---------------------------------------------------------------------------
 // Recorder
 // ---------------------------------------------------------------------------

@@ -84,8 +84,6 @@ struct Config {
 // still opens runs; Disable() stops opening runs entirely.
 void Enable(const Config& config);
 void Disable();
-bool Enabled();
-Config CurrentConfig();
 
 struct HopRecord {
   std::uint64_t link = 0;
@@ -290,8 +288,8 @@ void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs);
 void WriteFctSummaryFile(const std::string& path);
 
 namespace detail {
-// Clears sealed runs and restarts run ids at 0; keeps Enabled()/config.
-// Called by obs::Reset().
+// Clears sealed runs and restarts run ids at 0; keeps the Enable()/Disable()
+// state and config. Called by obs::Reset().
 void ResetRuns();
 }  // namespace detail
 

@@ -1,7 +1,5 @@
 #include "routing/multipath.h"
 
-#include <unordered_set>
-
 #include "graph/paths.h"
 #include "routing/route.h"
 
@@ -29,27 +27,6 @@ std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
     routes.push_back(Route{net.RouteWithLevelOrder(src, dst, order)});
   }
   return routes;
-}
-
-std::vector<Route> FilterLinkDisjoint(const graph::Graph& graph,
-                                      const std::vector<Route>& routes) {
-  std::vector<Route> kept;
-  std::unordered_set<graph::EdgeId> used;
-  for (const Route& route : routes) {
-    if (route.Empty()) continue;
-    const std::vector<graph::EdgeId> links = RouteLinks(graph, route);
-    bool clash = false;
-    for (graph::EdgeId link : links) {
-      if (used.count(link) > 0) {
-        clash = true;
-        break;
-      }
-    }
-    if (clash) continue;
-    for (graph::EdgeId link : links) used.insert(link);
-    kept.push_back(route);
-  }
-  return kept;
 }
 
 std::vector<Route> MaxDisjointRoutes(const topo::Topology& net, graph::NodeId src,

@@ -17,11 +17,6 @@ namespace dcn::routing {
 std::vector<Route> RotatedLevelOrderRoutes(const topo::Abccc& net,
                                            graph::NodeId src, graph::NodeId dst);
 
-// Greedy maximal link-disjoint subset of the given routes (first-come,
-// first-kept in input order).
-std::vector<Route> FilterLinkDisjoint(const graph::Graph& graph,
-                                      const std::vector<Route>& routes);
-
 // Ground truth: a maximum set of link-disjoint paths from max-flow.
 std::vector<Route> MaxDisjointRoutes(const topo::Topology& net, graph::NodeId src,
                                      graph::NodeId dst,

@@ -1,10 +1,7 @@
 #include "sim/broadcast_sim.h"
 
 #include <algorithm>
-#include <array>
-#include <deque>
 #include <queue>
-#include <string>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -15,6 +12,7 @@
 #include "obs/rollup.h"
 #include "obs/sketch.h"
 #include "routing/route.h"
+#include "sim/link_store.h"
 
 namespace dcn::sim {
 
@@ -61,11 +59,6 @@ struct EventAfter {
   }
 };
 
-struct LinkQueue {
-  std::deque<std::uint32_t> copies;  // indices into the copy pool
-  std::uint64_t transmitted = 0;
-};
-
 std::uint64_t DirectedLink(const graph::CsrView& csr, graph::NodeId from,
                            graph::NodeId to) {
   const graph::EdgeId edge = csr.FindEdge(from, to);
@@ -107,7 +100,9 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   }
   DCN_ASSERT(receivers + 1 == tree.CoveredCount());
 
-  std::vector<LinkQueue> links(graph.EdgeCount() * 2);
+  // Link queues hold indices into the copy pool.
+  const std::size_t link_count = graph.EdgeCount() * 2;
+  RingLinkStore links(link_count, config.queue_capacity);
   std::vector<Copy> pool;
   std::vector<MessageState> messages;
   std::priority_queue<Event, std::vector<Event>, EventAfter> events;
@@ -118,7 +113,6 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   // Mid-run faults + online monitor (sim/failures.h, obs/monitor.h): same
   // drain-then-dead capacity semantics and obs::WindowOf window attribution
   // as sim/packetsim.cc. Neither touches `rng`.
-  const std::size_t link_count = graph.EdgeCount() * 2;
   const std::vector<LinkCapOp> fault_ops =
       config.faults.Empty()
           ? std::vector<LinkCapOp>{}
@@ -130,13 +124,8 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
 
   // Flight recorder: observes copies (the unit that queues on links), never
   // draws from `rng` — byte-identical results with the recorder on or off.
-  flight::RunScope flight_run{
-      "broadcast", config.duration, graph.EdgeCount() * 2,
-      [&csr](std::uint64_t link) {
-        const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-        return link % 2 == 0 ? std::to_string(u) + "->" + std::to_string(v)
-                             : std::to_string(v) + "->" + std::to_string(u);
-      }};
+  flight::RunScope flight_run{"broadcast", config.duration, link_count,
+                              LaneNamer(csr)};
   flight::Recorder* const fr = flight_run.recorder();
   const bool fr_sample = fr != nullptr && fr->SamplingOn();
   const bool fr_ts = fr != nullptr && fr->TimeSeriesOn();
@@ -154,9 +143,8 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   };
 
   auto enqueue = [&](std::uint32_t copy_id, std::uint64_t link, double now) {
-    LinkQueue& q = links[link];
     const std::int32_t cap = caps.empty() ? config.queue_capacity : caps[link];
-    if (static_cast<int>(q.copies.size()) >= cap) {
+    if (links.Size(link) >= cap) {
       MessageState& message = messages[pool[copy_id].message];
       message.dropped_any = true;
       --message.outstanding;
@@ -167,11 +155,11 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
       if (fr_ts) fr->InFlight(now, --fr_in_flight);
       return;
     }
-    q.copies.push_back(copy_id);
-    result.max_queue_depth =
-        std::max(result.max_queue_depth, static_cast<int>(q.copies.size()));
-    const bool service_now = q.copies.size() == 1;
-    if (fr_ts) fr->LinkQueueDepth(link, now, static_cast<int>(q.copies.size()));
+    links.Push(link, copy_id);
+    const int depth = links.Size(link);
+    result.max_queue_depth = std::max(result.max_queue_depth, depth);
+    const bool service_now = depth == 1;
+    if (fr_ts) fr->LinkQueueDepth(link, now, depth);
     if (fr_sample) fr->HopEnqueue(pool[copy_id].rec, link, now, service_now);
     if (service_now) {
       schedule(now + kServiceTime, EventKind::kDepart, link);
@@ -223,17 +211,14 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
       continue;
     }
 
-    LinkQueue& q = links[event.payload];
-    DCN_ASSERT(!q.copies.empty());
-    const std::uint32_t copy_id = q.copies.front();
-    q.copies.pop_front();
-    ++q.transmitted;
+    DCN_ASSERT(!links.Empty(event.payload));
+    const std::uint32_t copy_id = links.PopFront(event.payload);
     if (mon.on()) mon.CountTx(mon.WindowIndex(now), event.payload);
     if (fr_ts) fr->LinkTransmit(event.payload, now);
     if (fr_sample) fr->HopDepart(pool[copy_id].rec, now);
-    if (!q.copies.empty()) {
+    if (!links.Empty(event.payload)) {
       schedule(now + kServiceTime, EventKind::kDepart, event.payload);
-      if (fr_sample) fr->HopServiceStart(pool[q.copies.front()].rec, now);
+      if (fr_sample) fr->HopServiceStart(pool[links.Front(event.payload)].rec, now);
     }
 
     Copy& copy = pool[copy_id];
@@ -263,10 +248,9 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   }
 
   double busiest = 0.0;
-  for (const LinkQueue& q : links) {
-    if (q.transmitted == 0) continue;
-    busiest = std::max(busiest, static_cast<double>(q.transmitted) * kServiceTime /
-                                    config.duration);
+  for (std::size_t link = 0; link < link_count; ++link) {
+    busiest = std::max(busiest, static_cast<double>(links.Transmitted(link)) *
+                                    kServiceTime / config.duration);
   }
   result.max_link_utilization = busiest;
 
@@ -289,19 +273,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   obs::HeavyHitters hot_links{kTopK};
   obs::HeavyHitters hot_switches{kTopK};
   obs::Rollup link_rollup = obs::MakeLinkRollup();
-  for (std::size_t link = 0; link < links.size(); ++link) {
-    const std::uint64_t tx = links[link].transmitted;
-    if (tx == 0) continue;
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::int64_t tier = csr.IsSwitch(tail) ? 1 : 0;
-    hot_links.Add(static_cast<std::int64_t>(link), tx);
-    if (tier == 1) hot_switches.Add(static_cast<std::int64_t>(tail), tx);
-    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
-                                             static_cast<std::int64_t>(tail),
-                                             tier, 0};
-    link_rollup.Add(groups, static_cast<std::int64_t>(tx));
-  }
+  FoldLinkTransmits(csr, links, hot_links, hot_switches, link_rollup);
   static obs::SketchMetric& s_delivery =
       obs::GetQuantileSketch("broadcast/delivery_latency");
   static obs::SketchMetric& s_completion =

@@ -189,15 +189,4 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
   return result;
 }
 
-double CoflowCompletionTime(const FluidResult& result,
-                            const std::vector<std::size_t>& members) {
-  DCN_REQUIRE(!members.empty(), "coflow needs at least one member");
-  double completion = 0.0;
-  for (std::size_t member : members) {
-    DCN_REQUIRE(member < result.finish_time.size(), "member index out of range");
-    completion = std::max(completion, result.finish_time[member]);
-  }
-  return completion;
-}
-
 }  // namespace dcn::sim

@@ -48,9 +48,4 @@ FluidResult FluidCompletionTimes(const graph::Graph& graph,
                                  const FaultSchedule& faults,
                                  double link_capacity = 1.0);
 
-// A coflow: the set of flow indices belonging to one application stage; its
-// completion time is its slowest member's.
-double CoflowCompletionTime(const FluidResult& result,
-                            const std::vector<std::size_t>& members);
-
 }  // namespace dcn::sim

@@ -1,11 +1,9 @@
 #include "sim/packetsim.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <queue>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +13,7 @@
 #include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/timeseries.h"
+#include "sim/link_store.h"
 
 namespace dcn::sim {
 
@@ -35,50 +34,6 @@ struct Packet {
   // engine only; the sharded engine resolves records at replay time.
   std::uint32_t rec = flight::Recorder::kNotSampled;
   bool measured = false;
-};
-
-// Per-directed-link FIFO output queues, capacity-bounded: one contiguous
-// slab of queue_capacity slots per link plus flat head/size/transmitted
-// arrays. No allocation after construction and no pointer chasing in the
-// depart hot path.
-class RingLinkStore {
- public:
-  RingLinkStore(std::size_t links, int capacity)
-      : capacity_(static_cast<std::size_t>(capacity)),
-        slots_(links * capacity_),
-        head_(links, 0),
-        size_(links, 0),
-        transmitted_(links, 0) {}
-
-  int Size(std::size_t link) const { return static_cast<int>(size_[link]); }
-  bool Empty(std::size_t link) const { return size_[link] == 0; }
-  // Packet at the queue head (in service). Link must be non-empty.
-  std::uint32_t Front(std::size_t link) const {
-    return slots_[link * capacity_ + head_[link]];
-  }
-  std::uint64_t Transmitted(std::size_t link) const {
-    return transmitted_[link];
-  }
-  void Push(std::size_t link, std::uint32_t packet) {
-    std::size_t slot = head_[link] + size_[link];
-    if (slot >= capacity_) slot -= capacity_;
-    slots_[link * capacity_ + slot] = packet;
-    ++size_[link];
-  }
-  std::uint32_t PopFront(std::size_t link) {
-    const std::uint32_t packet = slots_[link * capacity_ + head_[link]];
-    if (++head_[link] == capacity_) head_[link] = 0;
-    --size_[link];
-    ++transmitted_[link];
-    return packet;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<std::uint32_t> slots_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> size_;
-  std::vector<std::uint64_t> transmitted_;
 };
 
 // ---------------------------------------------------------------------------
@@ -231,23 +186,10 @@ void AddDeliveryTelemetry(PacketTelemetry& telemetry, double latency,
 // Post-run per-element summaries from the exact transmit / delivery counts —
 // pure functions of state both engines agree on byte-for-byte.
 void FinalizeTelemetry(PacketTelemetry& telemetry, const graph::CsrView& csr,
-                       std::size_t link_count, const RingLinkStore& links,
+                       const RingLinkStore& links,
                        const std::vector<std::uint64_t>& flow_delivered) {
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t tx = links.Transmitted(link);
-    if (tx == 0) continue;
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    const graph::NodeId tail = link % 2 == 0 ? u : v;  // the transmitter
-    const std::int64_t tier = csr.IsSwitch(tail) ? 1 : 0;
-    telemetry.hot_links.Add(static_cast<std::int64_t>(link), tx);
-    if (tier == 1) {
-      telemetry.hot_switches.Add(static_cast<std::int64_t>(tail), tx);
-    }
-    const std::array<std::int64_t, 4> groups{static_cast<std::int64_t>(link),
-                                             static_cast<std::int64_t>(tail),
-                                             tier, 0};
-    telemetry.links.Add(groups, static_cast<std::int64_t>(tx));
-  }
+  FoldLinkTransmits(csr, links, telemetry.hot_links, telemetry.hot_switches,
+                    telemetry.links);
   for (std::size_t route = 0; route < flow_delivered.size(); ++route) {
     if (flow_delivered[route] != 0) {
       telemetry.elephant_flows.Add(static_cast<std::int64_t>(route),
@@ -299,15 +241,6 @@ void FlushObs(const PacketSimResult& result, const ObsLocals& obs) {
   h_switches.Merge(result.telemetry.hot_switches);
   h_flows.Merge(result.telemetry.elephant_flows);
   r_links.Merge(result.telemetry.links);
-}
-
-// Shared flight-recorder lane namer: directed link -> "u->v".
-std::function<std::string(std::uint64_t)> LaneNamer(const graph::CsrView& csr) {
-  return [&csr](std::uint64_t link) {
-    const auto [u, v] = csr.Endpoints(static_cast<graph::EdgeId>(link / 2));
-    return link % 2 == 0 ? std::to_string(u) + "->" + std::to_string(v)
-                         : std::to_string(v) + "->" + std::to_string(u);
-  };
 }
 
 // ---------------------------------------------------------------------------
@@ -530,8 +463,7 @@ PacketSimResult RunPacketSimSerialImpl(
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result.telemetry, graph.Csr(), link_count, links,
-                    flow_delivered);
+  FinalizeTelemetry(result.telemetry, graph.Csr(), links, flow_delivered);
   FlushObs(result, obs);
   if (mon.on()) {
     result.monitor = mon.Finish();
@@ -1113,8 +1045,7 @@ PacketSimResult RunPacketSimMultipathSharded(
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
-  FinalizeTelemetry(result.telemetry, graph.Csr(), link_count, store,
-                    flow_delivered);
+  FinalizeTelemetry(result.telemetry, graph.Csr(), store, flow_delivered);
 
   ObsLocals obs;
   // Exact pop-count parity with the serial loop: one event per generate pop

@@ -1,7 +1,5 @@
 #include "topology/cost_model.h"
 
-#include <sstream>
-
 #include "common/error.h"
 
 namespace dcn::topo {
@@ -62,14 +60,6 @@ CapexReport EvaluateCostFromCounts(std::uint64_t servers,
       report.network_watts + static_cast<double>(report.servers) * model.server_watts;
   report.watts_per_server = report.total_watts / n;
   return report;
-}
-
-std::string ToString(const CapexReport& r) {
-  std::ostringstream out;
-  out << r.servers << " servers, " << r.switches << " switches, " << r.links
-      << " links; network $" << r.network_usd << " ($"
-      << r.network_per_server_usd << "/server), " << r.network_watts << " W";
-  return out.str();
 }
 
 }  // namespace dcn::topo

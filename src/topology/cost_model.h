@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "topology/implicit.h"
 #include "topology/topology.h"
@@ -69,7 +68,5 @@ CapexReport EvaluateCostFromCounts(std::uint64_t servers,
 // pricing the materialized graph (it cables exactly the ports the arithmetic
 // counts), but works at sizes no graph could hold.
 CapexReport EvaluateCost(const ImplicitCube& cube, const CostModel& model = {});
-
-std::string ToString(const CapexReport& report);
 
 }  // namespace dcn::topo

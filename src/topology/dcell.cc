@@ -87,14 +87,6 @@ void Dcell::Build() {
   DCN_ASSERT(g.EdgeCount() == params_.LinkTotal());
 }
 
-std::uint64_t Dcell::SubCellAt(graph::NodeId server, int level) const {
-  CheckServer(server);
-  DCN_REQUIRE(level >= 0 && level <= params_.k, "level out of range");
-  const auto uid = static_cast<std::uint64_t>(server);
-  if (level == 0) return uid % static_cast<std::uint64_t>(params_.n);
-  return (uid % t_[level]) / t_[level - 1];
-}
-
 graph::NodeId Dcell::SwitchOf(graph::NodeId server) const {
   CheckServer(server);
   return static_cast<graph::NodeId>(

@@ -31,10 +31,8 @@ class Dcell final : public Topology {
 
   const DcellParams& Params() const { return params_; }
 
-  // Servers are identified by their uid in [0, t_k); the address digits
-  // [a_k, ..., a_1, a_0] are recoverable via SubCellAt.
-  // Sub-cell index of `server` at the given level (a_level).
-  std::uint64_t SubCellAt(graph::NodeId server, int level) const;
+  // Servers are identified by their uid in [0, t_k); NodeLabel prints its
+  // address digits [a_k, ..., a_1, a_0].
   // The mini-switch of the server's DCell_0.
   graph::NodeId SwitchOf(graph::NodeId server) const;
 

@@ -114,12 +114,6 @@ void FiConn::Build() {
   }
 }
 
-std::uint64_t FiConn::CopyAt(graph::NodeId server, int level) const {
-  CheckServer(server);
-  DCN_REQUIRE(level >= 1 && level <= params_.k, "level out of range");
-  return (static_cast<std::uint64_t>(server) % t_[level]) / t_[level - 1];
-}
-
 graph::NodeId FiConn::SwitchOf(graph::NodeId server) const {
   CheckServer(server);
   return static_cast<graph::NodeId>(

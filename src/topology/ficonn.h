@@ -55,9 +55,7 @@ class FiConn final : public Topology {
 
   const FiConnParams& Params() const { return params_; }
 
-  // Sub-copy index of `server` at the given level (level >= 1), and its
-  // FiConn_0 mini-switch.
-  std::uint64_t CopyAt(graph::NodeId server, int level) const;
+  // The server's FiConn_0 mini-switch.
   graph::NodeId SwitchOf(graph::NodeId server) const;
   // True if the server's backup port is still idle in the full FiConn_k.
   bool HasIdleBackupPort(graph::NodeId server) const;

@@ -7,8 +7,11 @@
 //                                test_workspace, test_pinned_workloads)
 //   ReferenceUnitFlow            per-pair unit-capacity Dinic: arcs rebuilt
 //                                from the CSR per construction, untruncated
-//                                level BFS (test_pinned_workloads,
-//                                test_cuttree)
+//                                level BFS (test_pinned_workloads)
+//   ReferenceCut                 one fresh ReferenceUnitFlow solve: the pair
+//                                cut every production cut is checked against
+//                                (test_cuttree, test_paths, test_csr,
+//                                test_multipath)
 //   ReferenceSampledPairCuts     metrics::SampledPairCuts before the
 //                                source-shared batch engine
 //   ReferencePairDisconnection   metrics::PairDisconnectionFraction before
@@ -184,6 +187,15 @@ class ReferenceUnitFlow {
   graph::FlowWorkspace& ws_;
   std::size_t nodes_;
 };
+
+// One fresh reference solve per pair.
+inline std::int64_t ReferenceCut(const graph::CsrView& csr, graph::NodeId u,
+                                 graph::NodeId v,
+                                 const graph::FailureSet* failures = nullptr) {
+  graph::FlowScope ws;
+  ReferenceUnitFlow flow{csr, failures, *ws};
+  return static_cast<std::int64_t>(flow.Run(u, v));
+}
 
 // metrics::SampledPairCuts as it ran before the source-shared batch engine:
 // one fresh arc build and one untruncated Dinic per sampled pair, same

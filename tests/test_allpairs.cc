@@ -6,11 +6,8 @@
 
 #include "common/error.h"
 #include "graph/bfs.h"
-#include "routing/forwarding.h"
 #include "routing/route.h"
-#include "topology/bccc.h"
 #include "topology/bcube.h"
-#include "topology/dcell.h"
 #include "topology/factory.h"
 #include "topology/fattree.h"
 
@@ -78,30 +75,6 @@ INSTANTIATE_TEST_SUITE_P(SmallNets, AllPairs,
                                            "dcell:n=2,k=2", "ficonn:n=4,k=1",
                                            "ficonn:n=4,k=2", "ficonn:n=2,k=2",
                                            "fattree:k=4"));
-
-// Forwarding-specific exhaustive check: hop-by-hop forwarding reaches every
-// destination from every source on the server-centric designs.
-TEST(AllPairsForwarding, AbcccForwardingIsTotal) {
-  const topo::Abccc net{topo::AbcccParams{3, 1, 2}};
-  for (const graph::NodeId src : net.Servers()) {
-    for (const graph::NodeId dst : net.Servers()) {
-      const routing::Route route = routing::AbcccForwardRoute(net, src, dst);
-      ASSERT_EQ(route.Dst(), dst);
-      ASSERT_EQ(routing::ValidateRoute(net.Network(), route), "");
-    }
-  }
-}
-
-TEST(AllPairsForwarding, DcellForwardingIsTotal) {
-  const topo::Dcell net{topo::DcellParams{3, 1}};
-  for (const graph::NodeId src : net.Servers()) {
-    for (const graph::NodeId dst : net.Servers()) {
-      const routing::Route route = routing::DcellForwardRoute(net, src, dst);
-      ASSERT_EQ(route.Dst(), dst);
-      ASSERT_EQ(routing::ValidateRoute(net.Network(), route), "");
-    }
-  }
-}
 
 }  // namespace
 }  // namespace dcn

@@ -250,8 +250,12 @@ TEST(CsrEquivalenceTest, MinCutsAgreeAcrossAllSolvers) {
       if (src == dst) continue;
       for (const FailureSet* f : {static_cast<const FailureSet*>(nullptr),
                                   &failures}) {
-        const std::size_t cut = EdgeConnectivity(g, src, dst, f);
-        ASSERT_EQ(EdgeConnectivity(csr, src, dst, *ws, f), cut);
+        const auto cut =
+            static_cast<std::size_t>(ReferenceCut(csr, src, dst, f));
+        {
+          EdgeConnectivityBatch batch{csr, *ws, f};
+          ASSERT_EQ(batch.Connectivity(src, dst), cut);
+        }
         const auto paths = EdgeDisjointPaths(g, src, dst,
                                              static_cast<std::size_t>(-1), f);
         ASSERT_EQ(paths.size(), cut);
@@ -259,13 +263,10 @@ TEST(CsrEquivalenceTest, MinCutsAgreeAcrossAllSolvers) {
         ASSERT_EQ(EdgeDisjointPaths(csr, src, dst, *ws,
                                     static_cast<std::size_t>(-1), f),
                   paths);
-        // The set-to-set cut on singleton sides is the same cut, and so is
-        // the reference Dinic's.
+        // The set-to-set cut on singleton sides is the same cut.
         ASSERT_EQ(MinCutBetween(g, std::vector<NodeId>{src},
                                 std::vector<NodeId>{dst}, f),
                   static_cast<std::int64_t>(cut));
-        ReferenceUnitFlow reference{csr, f, *ws};
-        ASSERT_EQ(reference.Run(src, dst), cut);
         // Each path walks real, live, pairwise-disjoint links src..dst.
         EpochMarks used;
         used.Begin(g.EdgeCount());

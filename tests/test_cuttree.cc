@@ -13,7 +13,6 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "graph/workspace.h"
 #include "metrics/bisection.h"
 #include "reference.h"
 #include "topology/factory.h"
@@ -34,15 +33,6 @@ graph::Graph RandomGraph(Rng& rng, std::size_t nodes, std::size_t edges) {
     if (u != v) g.AddEdge(u, v);
   }
   return g;
-}
-
-// One fresh reference solve per pair.
-std::int64_t ReferenceCut(const graph::CsrView& csr, graph::NodeId u,
-                          graph::NodeId v,
-                          const graph::FailureSet* failures = nullptr) {
-  graph::FlowScope ws;
-  ReferenceUnitFlow flow{csr, failures, *ws};
-  return static_cast<std::int64_t>(flow.Run(u, v));
 }
 
 TEST(CutTreeTest, MatchesDinicOnRandomGraphs) {

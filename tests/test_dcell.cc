@@ -101,14 +101,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DcellSweep,
                                            std::tuple{3, 2}, std::tuple{4, 1},
                                            std::tuple{4, 2}, std::tuple{6, 1}));
 
-TEST(DcellTest, SubCellIndices) {
-  const Dcell net{DcellParams{4, 1}};  // 5 sub-cells of 4 servers
-  // Server 13 = sub-cell 3, local 1.
-  EXPECT_EQ(net.SubCellAt(13, 1), 3u);
-  EXPECT_EQ(net.SubCellAt(13, 0), 1u);
-  EXPECT_THROW(net.SubCellAt(13, 2), dcn::InvalidArgument);
-}
-
 TEST(DcellTest, Level1LinkRule) {
   // In DCell(4,1): sub-cell i's server j-1 links to sub-cell j's server i.
   const Dcell net{DcellParams{4, 1}};

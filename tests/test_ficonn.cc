@@ -133,14 +133,11 @@ TEST(FiConnTest, SameCellRouteUsesTheSwitch) {
   EXPECT_EQ(route.hops[1], net.SwitchOf(0));
 }
 
-TEST(FiConnTest, CopyAtAndLabels) {
+TEST(FiConnTest, LabelAndDescribe) {
   const FiConn net{FiConnParams{4, 2}};  // t_1 = 12
   // Server 30: copy 30/12 = 2 at level 2; (30 % 12)/4 = 1 at level 1.
-  EXPECT_EQ(net.CopyAt(30, 2), 2u);
-  EXPECT_EQ(net.CopyAt(30, 1), 1u);
   EXPECT_EQ(net.NodeLabel(30), "[2,1,2]");
   EXPECT_EQ(net.Describe(), "FiConn(n=4,k=2)");
-  EXPECT_THROW(net.CopyAt(30, 0), dcn::InvalidArgument);
 }
 
 TEST(FiConnTest, CheaperThanBcccInLinks) {

@@ -19,12 +19,12 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "routing/load_balance.h"
@@ -117,30 +117,6 @@ void ExpectMaxMinFair(const std::vector<Route>& routes,
   }
 }
 
-// Shortest path by BFS over every node (servers relay), for graphs whose
-// topology class has no router.
-Route BfsRoute(const Graph& g, NodeId src, NodeId dst) {
-  std::vector<NodeId> parent(g.NodeCount(), graph::kInvalidNode);
-  std::queue<NodeId> frontier;
-  parent[static_cast<std::size_t>(src)] = src;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const graph::HalfEdge& half : g.Neighbors(u)) {
-      const NodeId v = half.to;
-      if (parent[static_cast<std::size_t>(v)] != graph::kInvalidNode) continue;
-      parent[static_cast<std::size_t>(v)] = u;
-      frontier.push(v);
-    }
-  }
-  if (parent[static_cast<std::size_t>(dst)] == graph::kInvalidNode) return Route{};
-  std::vector<NodeId> hops{dst};
-  while (hops.back() != src) hops.push_back(parent[static_cast<std::size_t>(hops.back())]);
-  std::reverse(hops.begin(), hops.end());
-  return Route{hops};
-}
-
 // Six switches in a ring with two chords, two servers per switch and every
 // third server dual-homed to the next switch.
 Graph MakeCustomFabric(std::vector<NodeId>& servers) {
@@ -227,7 +203,10 @@ TEST(FillOracleTest, BottleneckPropertyOnCustomGraph) {
   std::vector<NodeId> servers;
   const Graph g = MakeCustomFabric(servers);
   CheckRandomInstances(g, servers,
-                       [&](NodeId s, NodeId d) { return BfsRoute(g, s, d); }, 13);
+                       [&](NodeId s, NodeId d) {
+                         return Route{graph::ShortestPath(g, s, d)};
+                       },
+                       13);
 }
 
 // All-to-all among `workers` random servers, F23-shaped: one unit per pair.

@@ -128,15 +128,6 @@ TEST(FluidTest, KillsRecomputeAtMostOncePerFlow) {
   EXPECT_LE(result.rate_recomputations, static_cast<int>(routes.size()));
 }
 
-TEST(CoflowTest, CompletionIsSlowestMember) {
-  FluidResult result;
-  result.finish_time = {1.0, 5.0, 3.0};
-  EXPECT_DOUBLE_EQ(CoflowCompletionTime(result, {0, 2}), 3.0);
-  EXPECT_DOUBLE_EQ(CoflowCompletionTime(result, {0, 1, 2}), 5.0);
-  EXPECT_THROW(CoflowCompletionTime(result, {}), dcn::InvalidArgument);
-  EXPECT_THROW(CoflowCompletionTime(result, {9}), dcn::InvalidArgument);
-}
-
 TEST(FluidTest, PermutationOnAbcccCompletesEverything) {
   const topo::Abccc net{topo::AbcccParams{4, 1, 2}};
   dcn::Rng rng{7};

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "graph/bfs.h"
 #include "routing/broadcast.h"
-#include "routing/forwarding.h"
 #include "routing/multipath.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
@@ -228,17 +227,6 @@ TEST(GeneralAbcccRoutingTest, MulticastPrunesPartialDeployment) {
     EXPECT_TRUE(tree.Contains(target));
   }
   EXPECT_LT(tree.CoveredCount(), net.ServerCount());
-}
-
-TEST(GeneralAbcccRoutingTest, ForwardingReachesEveryPair) {
-  const Abccc net{GeneralAbcccParams{{3, 2, 2}, 2}};
-  for (const graph::NodeId src : net.Servers()) {
-    for (const graph::NodeId dst : net.Servers()) {
-      const routing::Route route = routing::AbcccForwardRoute(net, src, dst);
-      ASSERT_EQ(route.Dst(), dst);
-      ASSERT_EQ(routing::ValidateRoute(net.Network(), route), "");
-    }
-  }
 }
 
 TEST(GeneralAbcccRoutingTest, RotatedRoutesAreValidOnMixedRadices) {

@@ -17,11 +17,11 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/bfs.h"
+#include "graph/components.h"
 #include "graph/implicit.h"
 #include "graph/msbfs.h"
 #include "graph/workspace.h"
 #include "metrics/path_metrics.h"
-#include "metrics/resilience.h"
 #include "topology/abccc.h"
 #include "topology/bccc.h"
 #include "topology/bcube.h"
@@ -171,21 +171,16 @@ TEST(ImplicitCubeTest, ExactStatsMatchAndSymmetryReductionIsExact) {
   for (const Case& c : AllCases()) {
     SCOPED_TRACE(c.cube.Describe());
     const metrics::ExactPathStats full = metrics::ExactServerPathStats(*c.net);
-    const metrics::ExactPathStats implicit_full =
-        metrics::ExactServerPathStats(c.cube);
     const metrics::ExactPathStats reduced =
         metrics::SymmetryReducedPathStats(c.cube);
-
-    for (const metrics::ExactPathStats* got : {&implicit_full, &reduced}) {
-      EXPECT_EQ(got->diameter, full.diameter);
-      EXPECT_EQ(got->radius, full.radius);
-      EXPECT_EQ(got->pairs, full.pairs);
-      EXPECT_EQ(got->connected, full.connected);
-      // Exact double equality: the reduced sweep scales integer totals, so
-      // even the division reproduces the full sweep's bits.
-      EXPECT_EQ(got->average, full.average);
-      EXPECT_EQ(got->pairs_at_distance, full.pairs_at_distance);
-    }
+    EXPECT_EQ(reduced.diameter, full.diameter);
+    EXPECT_EQ(reduced.radius, full.radius);
+    EXPECT_EQ(reduced.pairs, full.pairs);
+    EXPECT_EQ(reduced.connected, full.connected);
+    // Exact double equality: the reduced sweep scales integer totals, so
+    // even the division reproduces the full sweep's bits.
+    EXPECT_EQ(reduced.average, full.average);
+    EXPECT_EQ(reduced.pairs_at_distance, full.pairs_at_distance);
   }
 }
 
@@ -209,11 +204,13 @@ TEST(ImplicitCubeTest, SampledStatsMatchMaterializedAtAnyThreadCount) {
   }
 }
 
-TEST(ImplicitCubeTest, DisconnectionFractionMatchesUnderNodeKills) {
-  // Kill one level switch and one crossbar; sampled pair disconnection must
-  // agree between representations (same seed, node-id-identical kills).
+TEST(ImplicitCubeTest, NodeKillsMatchMaterialized) {
+  // Kill one level switch and one crossbar: component labels and distances
+  // must agree between representations (node-id-identical kills), so the
+  // node-only failure rule of graph/implicit.h is exact.
   const topo::Abccc net{topo::AbcccParams{4, 3, 2}};
   const topo::ImplicitCube cube = topo::ImplicitCube::MakeAbccc(4, 3, 2);
+  const graph::CsrView& csr = net.Network().Csr();
 
   graph::FailureSet mat{net.Network()};
   graph::FailureSet imp{cube.NodeCount(), cube.LinkCount()};
@@ -225,12 +222,21 @@ TEST(ImplicitCubeTest, DisconnectionFractionMatchesUnderNodeKills) {
     imp.KillNode(node);
   }
 
-  Rng mat_rng{99};
-  const double want = metrics::PairDisconnectionFraction(net, mat, 96, mat_rng);
+  graph::ComponentSet want_comp;
+  graph::ComponentSet got_comp;
+  graph::LabelComponents(csr, &mat, want_comp);
+  graph::LabelComponents(cube, &imp, got_comp);
+  EXPECT_EQ(got_comp.comp, want_comp.comp);
+
+  std::vector<graph::NodeId> sources;
+  for (std::size_t i = 0; i < cube.ServerCount(); i += 5) {
+    sources.push_back(cube.ServerIdAt(i));
+  }
+  const std::vector<int> want = graph::MultiSourceDistances(csr, sources, &mat);
+  ASSERT_NE(want, graph::MultiSourceDistances(csr, sources));  // kills matter
   for (const int threads : {1, 3, 7}) {
     SetThreadCount(threads);
-    Rng imp_rng{99};
-    EXPECT_EQ(metrics::PairDisconnectionFraction(cube, imp, 96, imp_rng), want);
+    EXPECT_EQ(graph::MultiSourceDistances(cube, sources, &imp), want);
   }
   SetThreadCount(0);
 }

@@ -5,10 +5,10 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "graph/bfs.h"
 #include "metrics/bisection.h"
 #include "metrics/path_metrics.h"
 #include "routing/abccc_routing.h"
-#include "routing/bfs_router.h"
 #include "routing/fault_routing.h"
 #include "routing/route.h"
 #include "sim/failures.h"
@@ -57,13 +57,13 @@ TEST(IntegrationTest, NativeRoutingIsValidOnEveryTopology) {
   }
 }
 
-TEST(IntegrationTest, BfsRouterAgreesWithTopologyOnReachability) {
+TEST(IntegrationTest, ShortestPathAgreesWithTopologyOnReachability) {
   Rng rng{62};
   for (const auto& net : AllTopologies()) {
     const auto servers = net->Servers();
     const graph::NodeId src = servers[0];
     const graph::NodeId dst = servers[servers.size() - 1];
-    const routing::Route bfs = routing::BfsRoute(*net, src, dst);
+    const routing::Route bfs{graph::ShortestPath(net->Network(), src, dst)};
     ASSERT_FALSE(bfs.Empty()) << net->Describe();
     EXPECT_LE(bfs.LinkCount(), routing::Route{net->Route(src, dst)}.LinkCount());
   }

@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "graph/paths.h"
+#include "reference.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
 #include "topology/bcube.h"
@@ -48,25 +48,7 @@ TEST(MultipathTest, SameRowPairYieldsSingleCrossbarRoute) {
   EXPECT_EQ(routes[0].LinkCount(), 2u);
 }
 
-TEST(MultipathTest, FilterKeepsOnlyLinkDisjointRoutes) {
-  const Abccc net{AbcccParams{4, 2, 2}};
-  const graph::NodeId src = net.ServerAt(Digits{0, 0, 0}, 0);
-  const graph::NodeId dst = net.ServerAt(Digits{1, 2, 3}, 0);
-  std::vector<Route> routes = RotatedLevelOrderRoutes(net, src, dst);
-  // Duplicate the first route: the copy must be filtered out.
-  routes.push_back(routes.front());
-  const std::vector<Route> kept = FilterLinkDisjoint(net.Network(), routes);
-  std::set<graph::EdgeId> used;
-  for (const Route& route : kept) {
-    for (graph::EdgeId link : RouteLinks(net.Network(), route)) {
-      EXPECT_TRUE(used.insert(link).second) << "shared link " << link;
-    }
-  }
-  EXPECT_LT(kept.size(), routes.size());
-  EXPECT_GE(kept.size(), 1u);
-}
-
-TEST(MultipathTest, MaxDisjointMatchesEdgeConnectivity) {
+TEST(MultipathTest, MaxDisjointMatchesReferenceCut) {
   const Abccc net{AbcccParams{3, 1, 2}};
   dcn::Rng rng{21};
   const auto servers = net.Servers();
@@ -75,7 +57,8 @@ TEST(MultipathTest, MaxDisjointMatchesEdgeConnectivity) {
     const graph::NodeId dst = servers[rng.NextUint64(servers.size())];
     if (src == dst) continue;
     const std::vector<Route> routes = MaxDisjointRoutes(net, src, dst);
-    EXPECT_EQ(routes.size(), graph::EdgeConnectivity(net.Network(), src, dst));
+    EXPECT_EQ(routes.size(), static_cast<std::size_t>(ReferenceCut(
+                                 net.Network().Csr(), src, dst)));
     for (const Route& route : routes) {
       EXPECT_EQ(ValidateRoute(net.Network(), route), "");
     }
@@ -88,7 +71,7 @@ TEST(MultipathTest, DualPortServersHaveTwoDisjointPaths) {
   const Abccc net{AbcccParams{4, 2, 2}};
   const graph::NodeId src = net.ServerAt(Digits{0, 0, 0}, 0);
   const graph::NodeId dst = net.ServerAt(Digits{1, 2, 3}, 1);
-  EXPECT_EQ(graph::EdgeConnectivity(net.Network(), src, dst), 2u);
+  EXPECT_EQ(MaxDisjointRoutes(net, src, dst).size(), 2u);
 }
 
 TEST(MultipathTest, BcubeAllDigitsDifferGivesKPlusOnePaths) {

@@ -18,16 +18,15 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "graph/bfs.h"
 #include "graph/graph.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
-#include "routing/bfs_router.h"
 #include "routing/route.h"
 #include "sim/traffic.h"
 #include "topology/factory.h"
@@ -92,31 +91,6 @@ std::vector<Route> PermutationRoutes(const topo::Topology& net,
   return NativeRoutes(net, PermutationTraffic(net, rng));
 }
 
-// Shortest path over a bare Graph (the topology-aware routing::BfsRoute
-// needs a Topology; the random-graph test has none).
-Route LocalBfsRoute(const Graph& g, graph::NodeId src, graph::NodeId dst) {
-  std::vector<graph::NodeId> parent(g.NodeCount(), graph::kInvalidNode);
-  std::queue<graph::NodeId> frontier;
-  parent[static_cast<std::size_t>(src)] = src;
-  frontier.push(src);
-  while (!frontier.empty() && parent[static_cast<std::size_t>(dst)] < 0) {
-    const graph::NodeId u = frontier.front();
-    frontier.pop();
-    for (const graph::HalfEdge& half : g.Neighbors(u)) {
-      if (parent[static_cast<std::size_t>(half.to)] >= 0) continue;
-      parent[static_cast<std::size_t>(half.to)] = u;
-      frontier.push(half.to);
-    }
-  }
-  Route route;
-  if (parent[static_cast<std::size_t>(dst)] < 0) return route;
-  for (graph::NodeId at = dst; at != src; at = parent[static_cast<std::size_t>(at)]) {
-    route.hops.push_back(at);
-  }
-  route.hops.push_back(src);
-  std::reverse(route.hops.begin(), route.hops.end());
-  return route;
-}
 
 // The per-run obs counters and histograms the sharded engine reconstructs
 // from per-member partials; deltas must match the serial engine's exactly.
@@ -537,7 +511,7 @@ TEST_F(PacketSimParallelTest, RandomGraphsMatchSerialReference) {
     for (std::size_t i = 0; i < servers.size(); ++i) {
       const graph::NodeId dst = servers[(i + 5) % servers.size()];
       if (servers[i] == dst) continue;
-      Route route = LocalBfsRoute(g, servers[i], dst);
+      Route route{graph::ShortestPath(g, servers[i], dst)};
       if (!route.Empty()) routes.push_back(std::move(route));
     }
     ASSERT_GE(routes.size(), 4u);
@@ -582,7 +556,7 @@ TEST_F(PacketSimParallelTest, SeededFuzzOverTopologyLoadFailuresAndShards) {
     const std::vector<Flow> flows = PermutationTraffic(*net, traffic);
     std::vector<Route> routes;
     for (const Flow& flow : flows) {
-      Route route = routing::BfsRoute(*net, flow.src, flow.dst, &failures);
+      Route route{graph::ShortestPath(g, flow.src, flow.dst, &failures)};
       if (!route.Empty()) routes.push_back(std::move(route));
     }
     if (routes.size() < 4) continue;  // fuzz disconnected too much
@@ -718,7 +692,7 @@ TEST_F(PacketSimParallelTest, MultipathSprayMatchesSerialUnderBothPolicies) {
   for (const Flow& flow : flows) {
     std::vector<Route> set;
     set.push_back(Route{net->Route(flow.src, flow.dst)});
-    Route bfs = routing::BfsRoute(*net, flow.src, flow.dst);
+    Route bfs{graph::ShortestPath(net->Network(), flow.src, flow.dst)};
     if (!bfs.Empty()) set.push_back(std::move(bfs));
     candidates.push_back(std::move(set));
   }

@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "graph/bfs.h"
+#include "reference.h"
 
 namespace dcn::graph {
 namespace {
@@ -39,7 +40,6 @@ TEST(DisjointPathsTest, CycleHasTwo) {
   const auto paths = EdgeDisjointPaths(g, 0, 3);
   EXPECT_EQ(paths.size(), 2u);
   CheckDisjointPaths(g, 0, 3, paths);
-  EXPECT_EQ(EdgeConnectivity(g, 0, 3), 2u);
 }
 
 TEST(DisjointPathsTest, BridgeHasOne) {
@@ -50,8 +50,9 @@ TEST(DisjointPathsTest, BridgeHasOne) {
   g.AddEdge(1, 3);
   g.AddEdge(3, 2);
   // 0 -> 2 must pass the 0-1 bridge.
-  EXPECT_EQ(EdgeConnectivity(g, 0, 2), 1u);
-  CheckDisjointPaths(g, 0, 2, EdgeDisjointPaths(g, 0, 2));
+  const auto paths = EdgeDisjointPaths(g, 0, 2);
+  EXPECT_EQ(paths.size(), 1u);
+  CheckDisjointPaths(g, 0, 2, paths);
 }
 
 TEST(DisjointPathsTest, CompleteGraphK5) {
@@ -60,7 +61,6 @@ TEST(DisjointPathsTest, CompleteGraphK5) {
   for (int i = 0; i < 5; ++i) {
     for (int j = i + 1; j < 5; ++j) g.AddEdge(i, j);
   }
-  EXPECT_EQ(EdgeConnectivity(g, 0, 4), 4u);
   const auto paths = EdgeDisjointPaths(g, 0, 4);
   EXPECT_EQ(paths.size(), 4u);
   CheckDisjointPaths(g, 0, 4, paths);
@@ -82,7 +82,6 @@ TEST(DisjointPathsTest, UnreachableGivesEmpty) {
   g.AddNode(NodeKind::kServer);
   g.AddNode(NodeKind::kServer);
   EXPECT_TRUE(EdgeDisjointPaths(g, 0, 1).empty());
-  EXPECT_EQ(EdgeConnectivity(g, 0, 1), 0u);
 }
 
 TEST(DisjointPathsTest, FailuresRemoveCapacity) {
@@ -93,22 +92,26 @@ TEST(DisjointPathsTest, FailuresRemoveCapacity) {
   g.AddEdge(1, 3);
   g.AddEdge(0, 2);
   g.AddEdge(2, 3);
-  EXPECT_EQ(EdgeConnectivity(g, 0, 3), 3u);
   FailureSet failures{g};
+  const auto count = [&] {
+    return EdgeDisjointPaths(g, 0, 3, 10, &failures).size();
+  };
+  EXPECT_EQ(count(), 3u);
   failures.KillEdge(direct);
-  EXPECT_EQ(EdgeConnectivity(g, 0, 3, &failures), 2u);
+  EXPECT_EQ(count(), 2u);
   failures.KillNode(1);
-  EXPECT_EQ(EdgeConnectivity(g, 0, 3, &failures), 1u);
+  EXPECT_EQ(count(), 1u);
   failures.KillNode(0);
-  EXPECT_EQ(EdgeConnectivity(g, 0, 3, &failures), 0u);
-  EXPECT_TRUE(EdgeDisjointPaths(g, 0, 3, 10, &failures).empty());
+  EXPECT_EQ(count(), 0u);
 }
 
 TEST(DisjointPathsTest, SameEndpointsThrow) {
   Graph g;
   g.AddNode(NodeKind::kServer);
   EXPECT_THROW(EdgeDisjointPaths(g, 0, 0), InvalidArgument);
-  EXPECT_THROW(EdgeConnectivity(g, 0, 0), InvalidArgument);
+  FlowScope ws;
+  EdgeConnectivityBatch batch{g.Csr(), *ws};
+  EXPECT_THROW(batch.Connectivity(0, 0), InvalidArgument);
 }
 
 TEST(DisjointPathsTest, AntiparallelFlowIsCancelled) {
@@ -145,7 +148,7 @@ Graph RandomGraph(Rng& rng, std::size_t nodes, std::size_t edges) {
   return g;
 }
 
-TEST(BatchConnectivityTest, MatchesSingleShotOnRandomGraphs) {
+TEST(BatchConnectivityTest, MatchesReferenceOnRandomGraphs) {
   Rng rng{2024};
   for (int trial = 0; trial < 10; ++trial) {
     const std::size_t nodes = 8 + rng.NextUint64(40);
@@ -153,7 +156,6 @@ TEST(BatchConnectivityTest, MatchesSingleShotOnRandomGraphs) {
     const CsrView& csr = g.Csr();
     FlowScope batch_ws;
     EdgeConnectivityBatch batch{csr, *batch_ws};
-    FlowScope single_ws;
     for (int q = 0; q < 30; ++q) {
       const auto src = static_cast<NodeId>(rng.NextUint64(nodes));
       auto dst = src;
@@ -162,7 +164,7 @@ TEST(BatchConnectivityTest, MatchesSingleShotOnRandomGraphs) {
       // optimization.
       const bool repeated = (q % 3) != 0;
       EXPECT_EQ(batch.Connectivity(src, dst, repeated),
-                EdgeConnectivity(csr, src, dst, *single_ws))
+                static_cast<std::size_t>(ReferenceCut(csr, src, dst)))
           << "trial " << trial << " query " << q << ": " << src << "->" << dst;
     }
   }
@@ -174,12 +176,11 @@ TEST(BatchConnectivityTest, RepeatedSourceSharesLevels) {
   const CsrView& csr = g.Csr();
   FlowScope ws;
   EdgeConnectivityBatch batch{csr, *ws};
-  FlowScope single_ws;
   const NodeId src = 3;
   for (NodeId dst = 0; static_cast<std::size_t>(dst) < 32; ++dst) {
     if (dst == src) continue;
     EXPECT_EQ(batch.Connectivity(src, dst, /*repeated_source=*/true),
-              EdgeConnectivity(csr, src, dst, *single_ws))
+              static_cast<std::size_t>(ReferenceCut(csr, src, dst)))
         << src << "->" << dst;
   }
 }
@@ -196,13 +197,13 @@ TEST(BatchConnectivityTest, HonorsFailures) {
     const CsrView& csr = g.Csr();
     FlowScope batch_ws;
     EdgeConnectivityBatch batch{csr, *batch_ws, &failures};
-    FlowScope single_ws;
     for (int q = 0; q < 20; ++q) {
       const auto src = static_cast<NodeId>(rng.NextUint64(24));
       auto dst = src;
       while (dst == src) dst = static_cast<NodeId>(rng.NextUint64(24));
       EXPECT_EQ(batch.Connectivity(src, dst, q % 2 == 0),
-                EdgeConnectivity(csr, src, dst, *single_ws, &failures))
+                static_cast<std::size_t>(
+                    ReferenceCut(csr, src, dst, &failures)))
           << "trial " << trial << ": " << src << "->" << dst;
     }
   }

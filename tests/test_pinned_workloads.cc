@@ -91,8 +91,9 @@ TEST_P(PinnedWorkloadTest, DinicCutBetweenFarServersMatchesReference) {
   const auto servers = net_.Servers();
   const graph::NodeId src = servers.front();
   const graph::NodeId dst = servers.back();
-  EXPECT_EQ(graph::EdgeConnectivity(g_, src, dst), 2u);  // = c
   graph::FlowScope ws;
+  EXPECT_EQ(graph::EdgeConnectivityBatch(g_.Csr(), *ws).Connectivity(src, dst),
+            2u);  // = c
   ReferenceUnitFlow flow{g_.Csr(), nullptr, *ws};
   EXPECT_EQ(flow.Run(src, dst), 2u);
 }

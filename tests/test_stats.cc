@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace dcn {
 namespace {
@@ -49,34 +48,6 @@ TEST(OnlineStatsTest, SingleValue) {
   EXPECT_DOUBLE_EQ(stats.Max(), 5.0);
 }
 
-TEST(OnlineStatsTest, MergeEqualsSequential) {
-  Rng rng{3};
-  OnlineStats all, left, right;
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.NextDouble() * 10 - 5;
-    all.Add(v);
-    (i % 2 == 0 ? left : right).Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.Count(), all.Count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-9);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.Min(), all.Min());
-  EXPECT_DOUBLE_EQ(left.Max(), all.Max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmptySides) {
-  OnlineStats a;
-  OnlineStats b;
-  b.Add(2.0);
-  a.Merge(b);  // empty.Merge(nonempty)
-  EXPECT_EQ(a.Count(), 1);
-  EXPECT_DOUBLE_EQ(a.Mean(), 2.0);
-  OnlineStats c;
-  a.Merge(c);  // nonempty.Merge(empty)
-  EXPECT_EQ(a.Count(), 1);
-}
-
 TEST(IntHistogramTest, MeanMinMax) {
   IntHistogram hist;
   hist.Add(2);
@@ -104,13 +75,6 @@ TEST(IntHistogramTest, InvalidUsesThrow) {
   EXPECT_THROW(hist.Percentile(0.0), InvalidArgument);
   EXPECT_THROW(hist.Percentile(1.5), InvalidArgument);
   EXPECT_THROW(hist.Add(1, 0), InvalidArgument);
-}
-
-TEST(IntHistogramTest, ToStringListsBuckets) {
-  IntHistogram hist;
-  hist.Add(3, 2);
-  hist.Add(1);
-  EXPECT_EQ(hist.ToString(), "{1: 1, 3: 2}");
 }
 
 TEST(SampleSetTest, PercentileAndExtremes) {

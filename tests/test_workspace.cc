@@ -104,7 +104,8 @@ TEST(FlowScopeTest, RepeatedSolvesOnOneWorkspaceStayCorrect) {
     const Graph& g = (round % 2 == 0) ? small : large;
     const auto dst =
         static_cast<NodeId>(1 + (round % (g.NodeCount() - 1)));
-    ASSERT_EQ(EdgeConnectivity(g.Csr(), 0, dst, *ws), 2u) << "round " << round;
+    ASSERT_EQ(EdgeConnectivityBatch(g.Csr(), *ws).Connectivity(0, dst), 2u)
+        << "round " << round;
   }
 }
 
