@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   });
   run(dcell, [&](auto src, auto dst, const auto& failures, Rng& r,
                  const routing::FaultRoutingOptions& o) {
-    return routing::DcellFaultTolerantRoute(dcell, src, dst, failures, r, o);
+    return routing::ProxyRepairRoute(dcell, src, dst, failures, r, o);
   });
   run(ficonn, [&](auto src, auto dst, const auto& failures, Rng& r,
                   const routing::FaultRoutingOptions& o) {

@@ -5,6 +5,9 @@
 #   * Chrome traces (--trace-out) are schema-valid with named sim/kernel
 #     spans, pool lanes, flight lanes and alert instants
 #     (scripts/validate_trace.py);
+#   * trace lanes are named by thread, not by which thread touched obs
+#     first: two traced F9 runs (--threads=4) carry identical thread_name
+#     metadata (tid -> name);
 #   * stats JSON (--stats-json) and the standalone alert log (--alerts-json)
 #     are schema-valid with the expected sketches, heavy hitters, rollups,
 #     counters and fired alerts (scripts/validate_stats.py);
@@ -33,6 +36,20 @@ echo "== traced benches =="
 bench bench_f9_packet_latency --threads=4 --trace-out="$OUT/trace_f9.json" > /dev/null
 python3 scripts/validate_trace.py "$OUT/trace_f9.json" \
   --expect-span packetsim/run --expect-span parallel/chunk
+bench bench_f9_packet_latency --threads=4 --trace-out="$OUT/trace_f9_again.json" > /dev/null
+python3 - "$OUT/trace_f9.json" "$OUT/trace_f9_again.json" <<'EOF'
+import json
+import sys
+
+def lanes(path):
+    return {(e["pid"], e["tid"]): e["args"]["name"] for e in json.load(open(path))
+            if e["ph"] == "M" and e["name"] == "thread_name"}
+
+first, second = (lanes(path) for path in sys.argv[1:])
+if first != second:
+    sys.exit(f"error: traced F9 runs name their lanes differently: {first} vs {second}")
+print(f"traced F9 runs name all {len(first)} lanes alike")
+EOF
 # The scaling bench's 2500-server sweep spans dozens of chunks, so per-thread
 # pool lanes must appear.
 bench bench_parallel_scaling --repeats=1 --threads-max=4 \

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
+#include <thread>
 
 #include "common/error.h"
 #include "obs/flight.h"
@@ -56,7 +59,6 @@ struct RawTraceEvent {
 // and bounded: main + pool workers per configured size), so merges never
 // race with shard teardown.
 struct Shard {
-  int thread_index = 0;
   std::string thread_name;
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauge_value{};
@@ -85,7 +87,7 @@ struct Registry {
   std::vector<std::unique_ptr<SketchMetric>> sketch_handles;
   std::vector<std::unique_ptr<HeavyHittersMetric>> hitters_handles;
   std::vector<std::unique_ptr<RollupMetric>> rollup_handles;
-  // Shard creation order defines the thread index (= trace lane id).
+  // In creation (first-touch) order; trace lanes come from ShardsByLane.
   std::vector<std::unique_ptr<Shard>> shards;
 };
 
@@ -97,19 +99,47 @@ Registry& Reg() {
 
 thread_local Shard* tl_shard = nullptr;
 
+// Static initialization runs on the main thread.
+const std::thread::id g_main_thread = std::this_thread::get_id();
+
 Shard& LocalShard() {
   if (tl_shard == nullptr) {
     Registry& reg = Reg();
     std::lock_guard<std::mutex> lock{reg.mutex};
     auto shard = std::make_unique<Shard>();
-    shard->thread_index = static_cast<int>(reg.shards.size());
-    shard->thread_name = shard->thread_index == 0
+    shard->thread_name = std::this_thread::get_id() == g_main_thread
                              ? "main"
-                             : "thread-" + std::to_string(shard->thread_index);
+                             : "thread-" + std::to_string(reg.shards.size());
     tl_shard = shard.get();
     reg.shards.push_back(std::move(shard));
   }
   return *tl_shard;
+}
+
+// The shards in trace-lane order: "main", then "pool-worker-<i>" by i, then
+// every other thread, ties in first-touch order. Lanes follow names rather
+// than which thread touched obs first, so a trace maps tid -> name the same
+// way in every run.
+std::vector<const Shard*> ShardsByLane(const Registry& reg) {
+  const auto rank = [](const std::string& name) -> std::pair<int, int> {
+    if (name == "main") return {0, 0};
+    constexpr std::string_view kPool = "pool-worker-";
+    if (name.starts_with(kPool)) {
+      const char* end = name.data() + name.size();
+      int index = 0;
+      const auto [ptr, ec] =
+          std::from_chars(name.data() + kPool.size(), end, index);
+      if (ec == std::errc{} && ptr == end) return {1, index};
+    }
+    return {2, 0};
+  };
+  std::vector<const Shard*> lanes;
+  for (const auto& shard : reg.shards) lanes.push_back(shard.get());
+  std::stable_sort(lanes.begin(), lanes.end(),
+                   [&](const Shard* a, const Shard* b) {
+                     return rank(a->thread_name) < rank(b->thread_name);
+                   });
+  return lanes;
 }
 
 HistShard& LocalHistShard(std::size_t id) {
@@ -480,11 +510,12 @@ Snapshot TakeSnapshot() {
   }
 
   snap.span_names = reg.span_names;
-  for (const auto& shard : reg.shards) {
-    snap.threads.emplace_back(shard->thread_index, shard->thread_name);
-    for (const RawTraceEvent& event : shard->trace) {
-      snap.trace.push_back(TraceEvent{event.site, shard->thread_index,
-                                      event.start_ns, event.dur_ns});
+  const std::vector<const Shard*> lanes = ShardsByLane(reg);
+  for (int tid = 0; tid < static_cast<int>(lanes.size()); ++tid) {
+    snap.threads.emplace_back(tid, lanes[tid]->thread_name);
+    for (const RawTraceEvent& event : lanes[tid]->trace) {
+      snap.trace.push_back(
+          TraceEvent{event.site, tid, event.start_ns, event.dur_ns});
     }
   }
   // Per-lane monotone timestamps; equal starts order the longer (enclosing)

@@ -209,8 +209,10 @@ class ScopedSpan {
 };
 
 // Names the calling thread's lane in trace exports and reports. The pool
-// workers name themselves "pool-worker-N"; the first thread that touches obs
-// (normally the main thread) is "main" by default.
+// workers name themselves "pool-worker-N"; the main thread is "main" by
+// default and any other thread "thread-<i>". Lanes (Snapshot tids) follow
+// the names: "main" is lane 0, then the pool workers by N, then every other
+// thread in the order it first touched obs.
 void SetCurrentThreadName(std::string name);
 
 // Zeroes every metric value (summary metrics read empty again), span
@@ -251,7 +253,7 @@ struct TimerRow {
 
 struct TraceEvent {
   std::size_t site = 0;  // index into Snapshot::span_names
-  int tid = 0;           // obs thread index (shard creation order)
+  int tid = 0;           // trace lane (see SetCurrentThreadName)
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
 };
@@ -262,7 +264,7 @@ struct Snapshot {
   std::vector<HistogramRow> histograms;
   std::vector<TimerRow> timers;
   std::vector<std::string> span_names;                  // by site id
-  std::vector<std::pair<int, std::string>> threads;     // (tid, name)
+  std::vector<std::pair<int, std::string>> threads;     // (tid, name), by tid
   std::vector<TraceEvent> trace;                        // sorted (tid, start)
 };
 

@@ -1,10 +1,9 @@
-// Fault-tolerant routing for the baseline topologies, so the fault-tolerance
+// Fault-tolerant routing for the non-cube baselines, so the fault-tolerance
 // comparison (F19) measures each design's own repair story rather than
-// handicapping the baselines with fail-stop routing:
-//   * BCube — BSR-style digit fixing with postponement and intermediate-value
-//     detours (Guo et al. describe source routing over alternative paths).
-//   * DCell — DFR-style proxy rerouting: when the inter-sub-cell link of the
-//     recursive decomposition is dead, detour through a third sub-cell.
+// handicapping the baselines with fail-stop routing (BCube repairs on the
+// cube walk in routing/fault_routing.h):
+//   * DCell, FiConn, any Topology — DFR-style proxy rerouting: when the
+//     native route meets a dead element, detour through a random proxy.
 //   * Fat-tree — ECMP re-hashing: try every (aggregation, core) choice for
 //     the up-down path.
 // Each router optionally falls back to BFS on the surviving graph (idealized
@@ -13,38 +12,21 @@
 #pragma once
 
 #include "common/rng.h"
-#include "routing/fault_routing.h"  // FaultRoutingOptions / FaultRoutingStats
+#include "routing/fault_routing.h"  // options, stats, BFS fallback
 #include "routing/route.h"
-#include "topology/bcube.h"
 #include "topology/dcell.h"
 #include "topology/fattree.h"
 #include "topology/ficonn.h"
 
 namespace dcn::routing {
 
-// BCube: greedy digit fixing. Reuses FaultRoutingOptions; `allow_postpone`
-// reorders the digit sequence around dead switches, `allow_plane_detour`
-// corrects a digit through an intermediate value.
-Route BcubeFaultTolerantRoute(const topo::Bcube& net, graph::NodeId src,
-                              graph::NodeId dst,
-                              const graph::FailureSet& failures, Rng& rng,
-                              const FaultRoutingOptions& options = {},
-                              FaultRoutingStats* stats = nullptr);
-
-// DCell: recursive routing with proxy detours. `allow_plane_detour` enables
-// routing via a random third sub-cell when the direct inter-cell link is
-// dead (counted in stats->plane_detours); recursion depth is bounded.
-Route DcellFaultTolerantRoute(const topo::Dcell& net, graph::NodeId src,
-                              graph::NodeId dst,
-                              const graph::FailureSet& failures, Rng& rng,
-                              const FaultRoutingOptions& options = {},
-                              FaultRoutingStats* stats = nullptr);
-
 // Topology-agnostic proxy repair: walk the native route; on the first dead
 // element, retry via a random live proxy server (native route to the proxy,
-// then on to the destination, recursively repaired), loop-erase the stitched
-// walk, and accept only if it validates under the failures. This is the
-// DFR-style repair generalized to any Topology; FiConn uses it directly.
+// then on to the destination, recursively repaired to depth 3), loop-erase
+// the stitched walk, and accept only if it validates under the failures.
+// `allow_plane_detour` enables the proxies (each counted in
+// stats->plane_detours). This is DCell's DFR-style repair generalized to any
+// Topology; DCell and FiConn both use it.
 Route ProxyRepairRoute(const topo::Topology& net, graph::NodeId src,
                        graph::NodeId dst, const graph::FailureSet& failures,
                        Rng& rng, const FaultRoutingOptions& options = {},

@@ -31,13 +31,10 @@ class GreedyWalker {
   // both traversals, so the walker never does it.
   graph::EdgeId UsableHop(graph::NodeId from, graph::NodeId to) const {
     if (failures_.NodeDead(to)) return graph::kInvalidEdge;
-    for (const graph::HalfEdge& half : net_.Network().Neighbors(from)) {
-      if (half.to == to && !failures_.EdgeDead(half.edge) &&
-          used_links_.count(half.edge) == 0) {
-        return half.edge;
-      }
-    }
-    return graph::kInvalidEdge;
+    return FirstUsableLink(net_.Network().Neighbors(from), to, &failures_,
+                           [&](graph::EdgeId link) {
+                             return used_links_.count(link) == 0;
+                           });
   }
   int Role() const { return role_; }
   const topo::Digits& Digits() const { return digits_; }
@@ -123,35 +120,20 @@ class GreedyWalker {
   std::unordered_set<graph::EdgeId> used_links_;
 };
 
-// Fallback: recompute the whole route as a shortest path on the surviving
-// graph (what a link-state repair would install). The greedy prefix is
-// abandoned rather than extended so the returned route stays link-simple.
-Route WithBfsFallback(const topo::Abccc& net, const graph::FailureSet& failures,
-                      graph::NodeId src, graph::NodeId dst,
-                      const FaultRoutingOptions& options,
-                      FaultRoutingStats* stats) {
-  if (!options.allow_bfs_fallback) return Route{};
-  std::vector<graph::NodeId> path =
-      graph::ShortestPath(net.Network(), src, dst, &failures);
-  if (path.empty()) return Route{};
-  if (stats != nullptr) stats->used_fallback = true;
-  return Route{std::move(path)};
-}
-
-}  // namespace
-
-Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
-                              graph::NodeId dst,
-                              const graph::FailureSet& failures, Rng& rng,
-                              const FaultRoutingOptions& options,
-                              FaultRoutingStats* stats) {
+// The repair loop both cubes share; `budget` caps the greedy phase's links.
+// On BCube (m = 1) every level's agent is role 0, so no crossbar hop is ever
+// taken and the agent-first stable_sort below keeps the shuffled order.
+Route CubeRepairRoute(const topo::Abccc& net, graph::NodeId src,
+                      graph::NodeId dst, const graph::FailureSet& failures,
+                      Rng& rng, const FaultRoutingOptions& options,
+                      FaultRoutingStats* stats, int budget) {
   if (failures.NodeDead(src) || failures.NodeDead(dst)) return Route{};
   if (src == dst) return Route{{src}};
 
+  const auto fallback = [&] {
+    return BfsFallbackRoute(net.Network(), src, dst, failures, options, stats);
+  };
   const topo::AbcccAddress to = net.AddressOf(dst);
-  const int budget = options.max_greedy_links > 0
-                         ? options.max_greedy_links
-                         : 8 * (net.Params().Order() + 1) + 16;
 
   GreedyWalker walker{net, failures, src};
   std::vector<int> remaining;
@@ -163,9 +145,7 @@ Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
   }
 
   while (!remaining.empty()) {
-    if (static_cast<int>(walker.Links()) > budget) {
-      return WithBfsFallback(net, failures, src, dst, options, stats);
-    }
+    if (static_cast<int>(walker.Links()) > budget) return fallback();
     // Prefer levels whose agent is the current role (cheapest), then the
     // rest; shuffle within each class so repeated attempts explore planes.
     std::vector<int> order = remaining;
@@ -225,15 +205,46 @@ Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
     }
     if (advanced) continue;
 
-    return WithBfsFallback(net, failures, src, dst, options, stats);
+    return fallback();
   }
 
   // All digits corrected; land on the destination's role.
   if (walker.Role() != to.role && !walker.TryRoleMove(to.role)) {
-    return WithBfsFallback(net, failures, src, dst, options, stats);
+    return fallback();
   }
   DCN_ASSERT(walker.Current() == dst);
   return Route{std::move(walker.Hops())};
+}
+
+}  // namespace
+
+Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
+                              graph::NodeId dst,
+                              const graph::FailureSet& failures, Rng& rng,
+                              const FaultRoutingOptions& options,
+                              FaultRoutingStats* stats) {
+  return CubeRepairRoute(net, src, dst, failures, rng, options, stats,
+                         8 * (net.Params().Order() + 1) + 16);
+}
+
+Route BcubeFaultTolerantRoute(const topo::Bcube& net, graph::NodeId src,
+                              graph::NodeId dst,
+                              const graph::FailureSet& failures, Rng& rng,
+                              const FaultRoutingOptions& options,
+                              FaultRoutingStats* stats) {
+  return CubeRepairRoute(net, src, dst, failures, rng, options, stats,
+                         6 * (net.Params().Order() + 1) + 8);
+}
+
+Route BfsFallbackRoute(const graph::Graph& graph, graph::NodeId src,
+                       graph::NodeId dst, const graph::FailureSet& failures,
+                       const FaultRoutingOptions& options,
+                       FaultRoutingStats* stats) {
+  if (!options.allow_bfs_fallback) return Route{};
+  std::vector<graph::NodeId> path = graph::ShortestPath(graph, src, dst, &failures);
+  if (path.empty()) return Route{};
+  if (stats != nullptr) stats->used_fallback = true;
+  return Route{std::move(path)};
 }
 
 }  // namespace dcn::routing

@@ -1,4 +1,5 @@
-// Fault-tolerant one-to-one routing for ABCCC.
+// Fault-tolerant one-to-one routing for the cubes: ABCCC and BCube, which is
+// the m = 1 cube ABCCC(n, k, k+2) (every level agent is role 0, no crossbars).
 //
 // Server-centric designs tolerate failures in software: the digit-fixing
 // walk is repaired on the fly. Three escalating tactics, each ablatable for
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "routing/route.h"
 #include "topology/abccc.h"
+#include "topology/bcube.h"
 
 namespace dcn::routing {
 
@@ -25,9 +27,6 @@ struct FaultRoutingOptions {
   bool allow_postpone = true;
   bool allow_plane_detour = true;
   bool allow_bfs_fallback = true;
-  // Link budget for the greedy phase before declaring it stuck; 0 means the
-  // default 8*(k+1) + 16.
-  int max_greedy_links = 0;
 };
 
 struct FaultRoutingStats {
@@ -37,10 +36,29 @@ struct FaultRoutingStats {
   bool used_fallback = false;
 };
 
+// The greedy phase gives up after 8*(k+1) + 16 links.
 Route AbcccFaultTolerantRoute(const topo::Abccc& net, graph::NodeId src,
                               graph::NodeId dst,
                               const graph::FailureSet& failures, Rng& rng,
                               const FaultRoutingOptions& options = {},
                               FaultRoutingStats* stats = nullptr);
+
+// The same walk on BCube (BSR-style digit fixing, Guo et al.); its greedy
+// phase gives up after 6*(k+1) + 8 links.
+Route BcubeFaultTolerantRoute(const topo::Bcube& net, graph::NodeId src,
+                              graph::NodeId dst,
+                              const graph::FailureSet& failures, Rng& rng,
+                              const FaultRoutingOptions& options = {},
+                              FaultRoutingStats* stats = nullptr);
+
+// The last resort every repair router shares: a shortest path from `src` on
+// the surviving graph (what a link-state repair would install), setting
+// stats->used_fallback. Empty when `options.allow_bfs_fallback` is off or
+// `dst` is unreachable. The greedy prefix is abandoned rather than extended
+// so the returned route stays link-simple.
+Route BfsFallbackRoute(const graph::Graph& graph, graph::NodeId src,
+                       graph::NodeId dst, const graph::FailureSet& failures,
+                       const FaultRoutingOptions& options,
+                       FaultRoutingStats* stats);
 
 }  // namespace dcn::routing

@@ -1,8 +1,8 @@
 #include "routing/route.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.h"
 
@@ -10,70 +10,86 @@ namespace dcn::routing {
 
 namespace {
 
-[[noreturn]] void InvalidRoute(const std::string& why) {
-  throw FailedPrecondition{"RouteDirectedLinks on invalid route: " + why};
-}
-
-}  // namespace
-
-std::string ValidateRoute(const graph::Graph& graph, const Route& route,
-                          const graph::FailureSet* failures) {
+// The one route walk behind ValidateRoute, RouteLinks, RouteDirectedLinks and
+// RouteDirectedLinksInto: checks that `route` is non-empty, in range, alive
+// under `failures` and server-ended, then resolves each hop u -> v by
+// FirstUsableLink over the CSR (`unused` is the link-simplicity check),
+// appending its directed id — edge_id * 2, plus 1 when u is the edge's
+// second endpoint — to `links` (cleared first). Returns "" or the diagnostic.
+template <typename Unused>
+std::string WalkRoute(const graph::CsrView& csr, const Route& route,
+                      const graph::FailureSet* failures, Unused&& unused,
+                      std::vector<std::uint64_t>& links) {
+  links.clear();
   if (route.hops.empty()) return "route is empty";
-  for (graph::NodeId node : route.hops) {
-    if (node < 0 || static_cast<std::size_t>(node) >= graph.NodeCount()) {
+  for (const graph::NodeId node : route.hops) {
+    if (node < 0 || static_cast<std::size_t>(node) >= csr.NodeCount()) {
       return "hop out of range: " + std::to_string(node);
     }
     if (failures != nullptr && failures->NodeDead(node)) {
       return "hop through dead node " + std::to_string(node);
     }
   }
-  if (!graph.IsServer(route.Src())) return "route does not start at a server";
-  if (!graph.IsServer(route.Dst())) return "route does not end at a server";
+  if (!csr.IsServer(route.Src())) return "route does not start at a server";
+  if (!csr.IsServer(route.Dst())) return "route does not end at a server";
 
-  std::unordered_set<graph::EdgeId> used;
+  links.reserve(route.LinkCount());
   for (std::size_t i = 0; i + 1 < route.hops.size(); ++i) {
     const graph::NodeId u = route.hops[i];
     const graph::NodeId v = route.hops[i + 1];
     if (u == v) return "route repeats node " + std::to_string(u);
-    // Prefer a live, unused parallel link if several exist.
-    graph::EdgeId chosen = graph::kInvalidEdge;
-    for (const graph::HalfEdge& half : graph.Neighbors(u)) {
-      if (half.to != v) continue;
-      if (failures != nullptr && failures->EdgeDead(half.edge)) continue;
-      if (used.count(half.edge) > 0) continue;
-      chosen = half.edge;
-      break;
-    }
-    if (chosen == graph::kInvalidEdge) {
+    const graph::EdgeId link =
+        FirstUsableLink(csr.Neighbors(u), v, failures, unused);
+    if (link == graph::kInvalidEdge) {
       return "no usable link between hop " + std::to_string(i) + " (" +
              std::to_string(u) + ") and hop " + std::to_string(i + 1) + " (" +
              std::to_string(v) + ")";
     }
-    used.insert(chosen);
+    links.push_back(static_cast<std::uint64_t>(link) * 2 +
+                    (u == csr.Endpoints(link).first ? 0 : 1));
   }
-  return "";
+  return {};
+}
+
+// WalkRoute whose link-simplicity check scans the links taken so far: a
+// route is a few dozen hops, so the scan costs less than per-call O(E) marks
+// and needs no scratch beyond `links` itself.
+std::string WalkRoute(const graph::Graph& graph, const Route& route,
+                      const graph::FailureSet* failures,
+                      std::vector<std::uint64_t>& links) {
+  return WalkRoute(
+      graph.Csr(), route, failures,
+      [&](graph::EdgeId edge) {
+        return std::none_of(links.begin(), links.end(), [&](std::uint64_t id) {
+          return id / 2 == static_cast<std::uint64_t>(edge);
+        });
+      },
+      links);
+}
+
+// Throws FailedPrecondition naming `entry` when `problem` is a diagnostic.
+void RequireWalkable(const char* entry, const std::string& problem) {
+  if (!problem.empty()) {
+    throw FailedPrecondition{std::string{entry} + " on invalid route: " +
+                             problem};
+  }
+}
+
+}  // namespace
+
+std::string ValidateRoute(const graph::Graph& graph, const Route& route,
+                          const graph::FailureSet* failures) {
+  std::vector<std::uint64_t> links;
+  return WalkRoute(graph, route, failures, links);
 }
 
 std::vector<graph::EdgeId> RouteLinks(const graph::Graph& graph, const Route& route,
                                       const graph::FailureSet* failures) {
-  const std::string problem = ValidateRoute(graph, route, failures);
-  if (!problem.empty()) {
-    throw FailedPrecondition{"RouteLinks on invalid route: " + problem};
-  }
-  std::vector<graph::EdgeId> links;
-  links.reserve(route.LinkCount());
-  std::unordered_set<graph::EdgeId> used;
-  for (std::size_t i = 0; i + 1 < route.hops.size(); ++i) {
-    for (const graph::HalfEdge& half : graph.Neighbors(route.hops[i])) {
-      if (half.to != route.hops[i + 1]) continue;
-      if (failures != nullptr && failures->EdgeDead(half.edge)) continue;
-      if (used.count(half.edge) > 0) continue;
-      links.push_back(half.edge);
-      used.insert(half.edge);
-      break;
-    }
-  }
-  DCN_ASSERT(links.size() == route.LinkCount());
+  std::vector<std::uint64_t> directed;
+  RequireWalkable("RouteLinks", WalkRoute(graph, route, failures, directed));
+  std::vector<graph::EdgeId> links(directed.size());
+  std::transform(directed.begin(), directed.end(), links.begin(),
+                 [](std::uint64_t id) { return static_cast<graph::EdgeId>(id / 2); });
   return links;
 }
 
@@ -99,55 +115,20 @@ Route EraseLoops(Route route) {
 
 std::vector<std::uint64_t> RouteDirectedLinks(const graph::Graph& graph,
                                               const Route& route) {
-  const std::vector<graph::EdgeId> edges = RouteLinks(graph, route);
-  std::vector<std::uint64_t> directed;
-  directed.reserve(edges.size());
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto [u, v] = graph.Endpoints(edges[i]);
-    const bool forward = route.hops[i] == u;
-    DCN_ASSERT(forward || route.hops[i] == v);
-    directed.push_back(static_cast<std::uint64_t>(edges[i]) * 2 +
-                       (forward ? 0 : 1));
-  }
-  return directed;
+  std::vector<std::uint64_t> links;
+  RequireWalkable("RouteLinks", WalkRoute(graph, route, nullptr, links));
+  return links;
 }
 
 void RouteDirectedLinksInto(const graph::CsrView& csr, const Route& route,
                             graph::EpochMarks& used,
                             std::vector<std::uint64_t>& links) {
-  links.clear();
-  if (route.hops.empty()) InvalidRoute("route is empty");
-  for (const graph::NodeId node : route.hops) {
-    if (node < 0 || static_cast<std::size_t>(node) >= csr.NodeCount()) {
-      InvalidRoute("hop out of range: " + std::to_string(node));
-    }
-  }
-  if (!csr.IsServer(route.Src())) InvalidRoute("route does not start at a server");
-  if (!csr.IsServer(route.Dst())) InvalidRoute("route does not end at a server");
-
-  links.reserve(route.LinkCount());
   used.Begin(csr.EdgeCount());
-  for (std::size_t i = 0; i + 1 < route.hops.size(); ++i) {
-    const graph::NodeId u = route.hops[i];
-    const graph::NodeId v = route.hops[i + 1];
-    if (u == v) InvalidRoute("route repeats node " + std::to_string(u));
-    // Same link choice as RouteLinks: first unused parallel link in adjacency
-    // order (CSR preserves the Graph's insertion order).
-    bool found = false;
-    for (const graph::HalfEdge& half : csr.Neighbors(u)) {
-      if (half.to != v || !used.Mark(half.edge)) continue;
-      const auto [a, b] = csr.Endpoints(half.edge);
-      links.push_back(static_cast<std::uint64_t>(half.edge) * 2 +
-                      (u == a ? 0 : 1));
-      found = true;
-      break;
-    }
-    if (!found) {
-      InvalidRoute("no usable link between hop " + std::to_string(i) + " (" +
-                   std::to_string(u) + ") and hop " + std::to_string(i + 1) +
-                   " (" + std::to_string(v) + ")");
-    }
-  }
+  RequireWalkable(
+      "RouteDirectedLinks",
+      WalkRoute(
+          csr, route, nullptr,
+          [&](graph::EdgeId edge) { return used.Mark(edge); }, links));
 }
 
 }  // namespace dcn::routing

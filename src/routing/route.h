@@ -1,6 +1,7 @@
 // Route representation and validation shared by all routing algorithms.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,28 @@ struct Route {
   graph::NodeId Dst() const { return hops.back(); }
 };
 
+// The link-choice rule every route walk shares (the four resolvers below,
+// the cube repair walker, proxy repair): among the links from `from`'s
+// adjacency slice (Graph or CsrView Neighbors(): insertion order, so
+// ascending id among parallel links) to `to`, the first that is live under
+// `failures` (every link when null) and that `unused(edge)` accepts;
+// kInvalidEdge if none qualifies. `unused` runs only on live links to `to`,
+// and after it accepts one no further link is tried.
+template <typename Unused>
+graph::EdgeId FirstUsableLink(std::span<const graph::HalfEdge> from,
+                              graph::NodeId to,
+                              const graph::FailureSet* failures,
+                              Unused&& unused) {
+  for (const graph::HalfEdge& half : from) {
+    if (half.to == to &&
+        (failures == nullptr || !failures->EdgeDead(half.edge)) &&
+        unused(half.edge)) {
+      return half.edge;
+    }
+  }
+  return graph::kInvalidEdge;
+}
+
 // Checks that the route is walkable: endpoints are servers, consecutive hops
 // are adjacent in the graph, every hop is alive under `failures`, and no link
 // is traversed twice (routes must be link-simple). Returns an empty string if
@@ -29,8 +52,9 @@ struct Route {
 std::string ValidateRoute(const graph::Graph& graph, const Route& route,
                           const graph::FailureSet* failures = nullptr);
 
-// Maps each consecutive hop pair to a live link id. Throws FailedPrecondition
-// if the route is not walkable.
+// Maps each consecutive hop pair to a live link id by FirstUsableLink,
+// skipping links the route already crossed. Throws FailedPrecondition if the
+// route is not walkable.
 std::vector<graph::EdgeId> RouteLinks(const graph::Graph& graph, const Route& route,
                                       const graph::FailureSet* failures = nullptr);
 
@@ -49,10 +73,10 @@ std::vector<std::uint64_t> RouteDirectedLinks(const graph::Graph& graph,
                                               const Route& route);
 
 // Allocation-free RouteDirectedLinks for bulk setup loops (simulators, load
-// balancers): validates the route and resolves its directed link ids in a
-// single pass over the CSR adjacency, writing into `links` (cleared first).
-// `used` is caller-owned epoch scratch for the link-simplicity check, reused
-// across calls. Link choice matches RouteDirectedLinks exactly; throws
+// balancers), writing into `links` (cleared first). `used` is caller-owned
+// epoch scratch for the link-simplicity check, reused across calls. Link
+// choice, and the diagnostic after the message prefix, match
+// RouteDirectedLinks exactly (all four resolvers run one walk); throws
 // FailedPrecondition if the route is not walkable.
 void RouteDirectedLinksInto(const graph::CsrView& csr, const Route& route,
                             graph::EpochMarks& used,

@@ -176,22 +176,7 @@ void LinkHealthHarness::CountDrop(std::uint32_t window, std::uint64_t link) {
 }
 
 void LinkHealthHarness::StepCurrent() {
-  const std::uint32_t window = monitor_->WindowsStepped();
-  std::fill(values_[0].begin(), values_[0].end(), 0);
-  std::fill(values_[1].begin(), values_[1].end(), 0);
-  std::uint64_t drops = 0;
-  for (std::size_t link = 0; link < link_count_; ++link) {
-    values_[0][link] = cur_tx_[link];
-    values_[1][link] = cur_drop_[link];
-    drops += static_cast<std::uint64_t>(cur_drop_[link]);
-    const std::uint32_t entity = switch_entity_[link_tail_[link]];
-    if (entity != ~0u) {
-      values_[0][entity] += cur_tx_[link];
-      values_[1][entity] += cur_drop_[link];
-    }
-  }
-  monitor_->AddDrops(window, drops);
-  monitor_->StepWindow(values_);
+  StepFrom(cur_tx_.data(), cur_drop_.data());
   std::fill(cur_tx_.begin(), cur_tx_.end(), 0);
   std::fill(cur_drop_.begin(), cur_drop_.end(), 0);
 }

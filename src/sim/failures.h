@@ -142,8 +142,10 @@ class LinkHealthHarness {
   void CountTx(std::uint32_t window, std::uint64_t link);
   void CountDrop(std::uint32_t window, std::uint64_t link);
 
-  // Sharded engine: steps window `window` from externally accumulated
-  // per-link rows (member 0 steps them between the engine's barriers).
+  // Steps the next window from per-link tx / drop rows, folding them into
+  // the link rows, the switch rows and the window's drop total. The sharded
+  // engine's member 0 calls it between barriers with the rows its members
+  // filled; serial engines reach it through AdvanceTo with their own rows.
   void StepFrom(const std::uint32_t* tx_row, const std::uint32_t* drop_row);
   std::uint32_t Stepped() const;
 
@@ -164,7 +166,7 @@ class LinkHealthHarness {
   std::size_t link_count_ = 0;
   std::vector<std::uint32_t> switch_entity_;  // node -> entity index or ~0u
   std::vector<graph::NodeId> link_tail_;      // directed link -> transmitter
-  std::vector<std::int64_t> cur_tx_, cur_drop_;  // serial per-link window row
+  std::vector<std::uint32_t> cur_tx_, cur_drop_;  // serial per-link window row
   std::vector<std::vector<std::int64_t>> values_;  // [signal][entity] scratch
   std::unique_ptr<obs::monitor::HealthMonitor> monitor_;
 };

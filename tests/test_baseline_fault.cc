@@ -92,7 +92,7 @@ TEST(DcellFaultTest, NoFailuresMatchesPreferredRoute) {
   const Dcell net{DcellParams{4, 1}};
   graph::FailureSet failures{net.Network()};
   dcn::Rng rng{4};
-  const Route route = DcellFaultTolerantRoute(net, 0, 17, failures, rng);
+  const Route route = ProxyRepairRoute(net, 0, 17, failures, rng);
   ASSERT_FALSE(route.Empty());
   EXPECT_EQ(route.hops, net.Route(0, 17));
 }
@@ -109,7 +109,7 @@ TEST(DcellFaultTest, ProxiesAroundADeadInterCellLink) {
   options.allow_bfs_fallback = false;
   FaultRoutingStats stats;
   const Route route =
-      DcellFaultTolerantRoute(net, 0, 4, failures, rng, options, &stats);
+      ProxyRepairRoute(net, 0, 4, failures, rng, options, &stats);
   ASSERT_FALSE(route.Empty());
   EXPECT_EQ(ValidateRoute(net.Network(), route, &failures), "");
   EXPECT_GT(stats.plane_detours, 0);
@@ -126,7 +126,7 @@ TEST(DcellFaultTest, SucceedsIffReachableWithFallback) {
     const graph::NodeId src = servers[rng.NextUint64(servers.size())];
     const graph::NodeId dst = servers[rng.NextUint64(servers.size())];
     if (src == dst) continue;
-    const Route route = DcellFaultTolerantRoute(net, src, dst, failures, rng);
+    const Route route = ProxyRepairRoute(net, src, dst, failures, rng);
     const bool reachable =
         !graph::ShortestPath(net.Network(), src, dst, &failures).empty();
     ASSERT_EQ(!route.Empty(), reachable);

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -298,6 +301,29 @@ TEST_F(ObsTest, TraceCaptureEmitsPerLaneMonotoneEvents) {
   EXPECT_TRUE(SpansEnabled());  // capture off, aggregate timing still on
   EnableSpans(false);
   EXPECT_FALSE(TraceCaptureEnabled());
+}
+
+// Trace lanes follow thread names, not the race to touch obs first: a thread
+// that names itself "pool-worker-1" before another names itself
+// "pool-worker-0" still gets the later lane, and the main thread keeps lane 0.
+TEST_F(ObsTest, TraceLanesFollowThreadNames) {
+  GetCounter("test/lane_main").Add(1);  // the main thread touches obs
+  for (const char* name : {"pool-worker-1", "pool-worker-0"}) {
+    std::thread([name] { SetCurrentThreadName(name); }).join();
+  }
+  const Snapshot snap = TakeSnapshot();
+  ASSERT_FALSE(snap.threads.empty());
+  EXPECT_EQ(snap.threads.front(), (std::pair<int, std::string>{0, "main"}));
+  int last_worker0 = -1;
+  int first_worker1 = static_cast<int>(snap.threads.size());
+  for (std::size_t i = 0; i < snap.threads.size(); ++i) {
+    const auto& [tid, name] = snap.threads[i];
+    EXPECT_EQ(tid, static_cast<int>(i));
+    if (name == "pool-worker-0") last_worker0 = tid;
+    if (name == "pool-worker-1") first_worker1 = std::min(first_worker1, tid);
+  }
+  EXPECT_GE(last_worker0, 0);
+  EXPECT_LT(last_worker0, first_worker1);
 }
 
 TEST_F(ObsTest, CounterValueOfUnknownNameIsZero) {

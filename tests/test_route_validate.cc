@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
+#include "graph/workspace.h"
 
 namespace dcn::routing {
 namespace {
@@ -118,6 +124,93 @@ TEST(RouteLinksTest, InvalidRouteThrows) {
   const Graph g = MakeRelay();
   EXPECT_THROW(RouteLinks(g, Route{{2, 1}}), dcn::FailedPrecondition);
   EXPECT_THROW(RouteLinks(g, Route{}), dcn::FailedPrecondition);
+}
+
+// server0 and switch1 joined by three parallel links (edges 0-2; edge 1
+// stored as (1, 0)), plus switch1 - server2 (edge 3).
+Graph MakeBundle() {
+  Graph g;
+  g.AddNode(NodeKind::kServer);  // 0
+  g.AddNode(NodeKind::kSwitch);  // 1
+  g.AddNode(NodeKind::kServer);  // 2
+  g.AddEdge(0, 1);               // edge 0
+  g.AddEdge(1, 0);               // edge 1
+  g.AddEdge(0, 1);               // edge 2
+  g.AddEdge(1, 2);               // edge 3
+  return g;
+}
+
+// The message a resolver throws for `route`, after its prefix; "" if it
+// accepts the route.
+template <typename Resolve>
+std::string Rejection(const std::string& prefix, Resolve&& resolve) {
+  try {
+    resolve();
+  } catch (const dcn::FailedPrecondition& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    return what.substr(prefix.size());
+  }
+  return "";
+}
+
+TEST(RouteLinkRuleTest, EveryResolverTakesParallelCopiesInIdOrder) {
+  const Graph g = MakeBundle();
+  // Back and forth over the bundle: each crossing takes the lowest-id copy
+  // the route has not crossed yet.
+  const Route bounce{{0, 1, 0, 1, 2}};
+  EXPECT_EQ(ValidateRoute(g, bounce), "");
+  EXPECT_EQ(RouteLinks(g, bounce), (std::vector<graph::EdgeId>{0, 1, 2, 3}));
+  // Copy 1 is stored as (1, 0), so crossing it from the switch is forward.
+  const std::vector<std::uint64_t> directed{0, 2, 4, 6};
+  EXPECT_EQ(RouteDirectedLinks(g, bounce), directed);
+  graph::EpochMarks used;
+  std::vector<std::uint64_t> into;
+  RouteDirectedLinksInto(g.Csr(), bounce, used, into);
+  EXPECT_EQ(into, directed);
+
+  // With the first copy dead the next one carries the hop.
+  graph::FailureSet failures{g};
+  failures.KillEdge(0);
+  EXPECT_EQ(ValidateRoute(g, Route{{0, 1, 2}}, &failures), "");
+  EXPECT_EQ(RouteLinks(g, Route{{0, 1, 2}}, &failures),
+            (std::vector<graph::EdgeId>{1, 3}));
+  EXPECT_EQ(RouteLinks(g, Route{{0, 1, 0}}, &failures),
+            (std::vector<graph::EdgeId>{1, 2}));
+  EXPECT_EQ(ValidateRoute(g, bounce, &failures),
+            "no usable link between hop 2 (0) and hop 3 (1)");
+}
+
+TEST(RouteLinkRuleTest, EveryResolverAcceptsAndRejectsTheSameRoutes) {
+  const Graph g = MakeBundle();
+  const std::vector<Route> routes{
+      Route{{0, 1, 2}},          Route{{0, 1, 0, 1, 2}},
+      Route{{2, 1, 0}},          Route{{0}},
+      Route{},                   Route{{0, 7}},
+      Route{{1, 2}},             Route{{0, 1}},
+      Route{{0, 0, 1, 2}},       Route{{0, 2}},
+      Route{{0, 1, 0, 1, 0, 1, 2}},  // a fourth crossing of three copies
+      Route{{2, 1, 2}},              // one link crossed twice
+  };
+  graph::EpochMarks used;
+  std::vector<std::uint64_t> into;
+  for (const Route& route : routes) {
+    SCOPED_TRACE(::testing::PrintToString(route.hops));
+    const std::string problem = ValidateRoute(g, route);
+    EXPECT_EQ(Rejection("RouteLinks on invalid route: ",
+                        [&] { RouteLinks(g, route); }),
+              problem);
+    std::vector<std::uint64_t> directed;
+    EXPECT_EQ(Rejection("RouteLinks on invalid route: ",
+                        [&] { directed = RouteDirectedLinks(g, route); }),
+              problem);
+    EXPECT_EQ(Rejection("RouteDirectedLinks on invalid route: ",
+                        [&] { RouteDirectedLinksInto(g.Csr(), route, used, into); }),
+              problem);
+    if (problem.empty()) {
+      EXPECT_EQ(into, directed);
+    }
+  }
 }
 
 }  // namespace
