@@ -11,6 +11,10 @@
 #   * stats JSON (--stats-json) and the standalone alert log (--alerts-json)
 #     are schema-valid with the expected sketches, heavy hitters, rollups,
 #     counters and fired alerts (scripts/validate_stats.py);
+#   * one run id across sinks: each F24 run with alerts in --alerts-json has
+#     a trace process at pid 100 + run named "flight:<sim> run <run>" that
+#     holds exactly that run's alert instants, and no monitor instant sits
+#     in any other process;
 #   * the flight sinks (--timeseries-csv/-json, --fct-csv, --fct-summary)
 #     write non-empty files, and F9's table is byte-identical with the
 #     recorder on and off (the recorder only observes);
@@ -140,6 +144,41 @@ python3 scripts/validate_stats.py "$OUT/f24_stats.json" \
   --expect-counter monitor/runs --expect-counter monitor/alerts_fired \
   --expect-fired
 python3 scripts/validate_trace.py "$OUT/trace_f24.json" --expect-alert
+python3 - "$OUT/f24_alerts.json" "$OUT/trace_f24.json" <<'EOF'
+import json
+import sys
+
+runs = json.load(open(sys.argv[1]))["runs"]
+trace = json.load(open(sys.argv[2]))
+names = {e["pid"]: e["args"]["name"] for e in trace
+         if e["ph"] == "M" and e["name"] == "process_name"}
+instants = {}
+for e in trace:
+    if e["ph"] == "i" and e["cat"] == "monitor":
+        instants.setdefault(e["pid"], []).append((e["name"], e["tid"], e["ts"]))
+pids = set()
+for run in runs:
+    if not run["events"]:
+        continue
+    pid = 100 + run["run"]
+    pids.add(pid)
+    name = f"flight:{run['sim']} run {run['run']}"
+    if names.get(pid) != name:
+        sys.exit(f"error: run {run['run']}'s alerts have no trace process {pid} "
+                 f"named {name!r} (found {names.get(pid)!r})")
+    want = [("alert:" + a["kind"], a["entity_index"], round(a["time"], 3))
+            for a in run["events"]]
+    got = [(n, tid, round(ts, 3)) for n, tid, ts in instants.get(pid, [])]
+    if got != want:
+        sys.exit(f"error: trace process {pid} does not hold exactly run "
+                 f"{run['run']}'s {len(want)} alert instants ({len(got)} found)")
+stray = sorted(set(instants) - pids)
+if stray:
+    sys.exit(f"error: monitor instants in trace processes {stray}, "
+             "which are no alerting run's")
+print(f"F24: {len(pids)} alerting runs keep their run id in the trace "
+      f"({sum(len(v) for v in instants.values())} alert instants)")
+EOF
 
 echo "== bare sink flags =="
 # Run from an empty scratch directory so a sink that took a bare flag's

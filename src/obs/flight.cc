@@ -1,6 +1,7 @@
 #include "obs/flight.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -10,7 +11,6 @@
 
 #include "common/error.h"
 #include "common/table.h"
-#include "obs/export.h"
 #include "obs/obs.h"
 
 namespace dcn::obs::flight {
@@ -19,12 +19,14 @@ namespace {
 
 struct FlightState {
   std::mutex mutex;
-  bool enabled = false;
+  // Written under `mutex`; RunScope reads it before locking, so a disabled
+  // recorder costs each run one atomic load.
+  std::atomic<bool> enabled{false};
   Config config;
   int next_run = 0;
-  // Sealed runs, in run-id order. Recorders are heap-stable so the owning
-  // simulator thread can keep writing through its pointer lock-free while
-  // other runs start or finish.
+  // Every run, in run-id order: recorded runs and verdict-only records.
+  // Recorders are heap-stable so the owning simulator thread can keep
+  // writing through its pointer lock-free while other runs start or finish.
   std::vector<std::unique_ptr<Recorder>> runs;
 };
 
@@ -46,14 +48,14 @@ void Enable(const Config& config) {
               "flight bucket width must be non-negative");
   FlightState& state = State();
   std::lock_guard<std::mutex> lock{state.mutex};
-  state.enabled = true;
   state.config = config;
+  state.enabled.store(true, std::memory_order_release);
 }
 
 void Disable() {
   FlightState& state = State();
   std::lock_guard<std::mutex> lock{state.mutex};
-  state.enabled = false;
+  state.enabled.store(false, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,15 +266,15 @@ void Recorder::Finish() {
 
 RunScope::RunScope(std::string_view sim, double duration,
                    std::size_t link_count,
-                   std::function<std::string(std::uint64_t)> lane_namer) {
+                   std::function<std::string(std::uint64_t)> lane_namer)
+    : sim_(sim), duration_(duration) {
   nested_ = tl_active_run != nullptr;
-  if (nested_) return;
   FlightState& state = State();
+  if (nested_ || !state.enabled.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock{state.mutex};
-  if (!state.enabled) return;
   auto recorder = std::unique_ptr<Recorder>(
-      new Recorder{state.next_run++, std::string{sim}, duration, state.config,
-                   link_count, std::move(lane_namer)});
+      new Recorder{state.next_run++, sim_, duration, state.config, link_count,
+                   std::move(lane_namer)});
   recorder_ = recorder.get();
   tl_active_run = recorder_;
   state.runs.push_back(std::move(recorder));
@@ -284,14 +286,33 @@ RunScope::~RunScope() {
   tl_active_run = nullptr;
 }
 
+void RunScope::Publish(const monitor::MonitorResult& result,
+                       std::uint64_t faults_scheduled) {
+  static Counter& c_runs = GetCounter("monitor/runs");
+  static Counter& c_windows = GetCounter("monitor/windows");
+  static Counter& c_fired = GetCounter("monitor/alerts_fired");
+  static Counter& c_cleared = GetCounter("monitor/alerts_cleared");
+  c_runs.Add(1);
+  c_windows.Add(result.windows);
+  c_fired.Add(result.FireCount());
+  c_cleared.Add(result.ClearCount());
+  FlightState& state = State();
+  std::lock_guard<std::mutex> lock{state.mutex};
+  Recorder* record = recorder_;
+  if (record == nullptr) {
+    state.runs.push_back(std::unique_ptr<Recorder>(
+        new Recorder{state.next_run++, sim_, duration_, Config{}, 0, nullptr}));
+    record = state.runs.back().get();
+  }
+  record->monitor_ = result;
+  record->faults_scheduled_ = faults_scheduled;
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots and exporters
 // ---------------------------------------------------------------------------
 
 struct FlightAccess {
-  static const std::vector<TimeSeriesRow>& Series(const Recorder& run) {
-    return run.series_;
-  }
   static RunSnapshot Snap(const Recorder& run) {
     RunSnapshot snap;
     snap.run = run.run_;
@@ -303,6 +324,9 @@ struct FlightAccess {
     snap.breakdown = run.breakdown_;
     snap.fct_sketch = run.fct_sketch_;
     snap.unroutable = run.unroutable_;
+    snap.series = run.series_;
+    snap.monitor = run.monitor_;
+    snap.faults_scheduled = run.faults_scheduled_;
     // Lanes actually touched by sampled hops, ascending link id.
     std::vector<bool> used(run.lane_names_.size(), false);
     for (const PacketRecord& packet : snap.packets) {
@@ -352,11 +376,6 @@ void WriteFctCsv(std::ostream& out, const std::vector<RunSnapshot>& runs) {
   }
 }
 
-void WriteFctCsvFile(const std::string& path) {
-  const std::vector<RunSnapshot> runs = TakeRunsSnapshot();
-  WriteFile(path, "FCT", [&](std::ostream& out) { WriteFctCsv(out, runs); });
-}
-
 void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs) {
   Table table{{"run", "sim", "flows", "unroutable", "p50", "p90", "p99",
                "p999", "max"}};
@@ -375,12 +394,6 @@ void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs) {
                        std::to_string(QuantileSketch::kDefaultAccuracy) + ")");
 }
 
-void WriteFctSummaryFile(const std::string& path) {
-  const std::vector<RunSnapshot> runs = TakeRunsSnapshot();
-  WriteFile(path, "FCT summary",
-            [&](std::ostream& out) { WriteFctSummary(out, runs); });
-}
-
 namespace detail {
 
 void ResetRuns() {
@@ -395,19 +408,3 @@ void ResetRuns() {
 }  // namespace detail
 
 }  // namespace dcn::obs::flight
-
-namespace dcn::obs {
-
-std::vector<TimeSeriesRow> TakeTimeSeriesSnapshot() {
-  flight::FlightState& state = flight::State();
-  std::lock_guard<std::mutex> lock{state.mutex};
-  std::vector<TimeSeriesRow> rows;
-  for (const auto& run : state.runs) {
-    const std::vector<TimeSeriesRow>& series =
-        flight::FlightAccess::Series(*run);
-    rows.insert(rows.end(), series.begin(), series.end());
-  }
-  return rows;
-}
-
-}  // namespace dcn::obs

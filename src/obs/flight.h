@@ -10,8 +10,8 @@
 //     Rng::Fork, so it never touches the simulation's own RNG stream, the
 //     same packets are sampled at any DCN_THREADS and any sampling rate, and
 //     enabling it cannot change a single simulated event. Exported as Chrome
-//     trace complete ("X") + flow ("s"/"f") events through obs/trace.h: one
-//     process lane per run, one thread lane per directed link.
+//     trace complete ("X") + flow ("s"/"f") events through obs/trace.h: in
+//     the run's own process, one thread lane per directed link.
 //   * TIME SERIES — fixed-width buckets of per-link transmissions, per-link
 //     queue depth, and in-flight packets (obs/timeseries.h), kept per run in
 //     first-touch order; exported as CSV/JSON.
@@ -21,6 +21,12 @@
 //     tables of bench_f9 / bench_f22.
 //   * FLOW RECORDS — per-flow completion times from sim/fluid and max-min
 //     rates from sim/flowsim, exported as a CSV summary (--fct-csv).
+//   * MONITOR VERDICTS — a monitored run's obs/monitor.h result (alert log,
+//     recovery aggregates) and the size of its fault schedule, attached by
+//     RunScope::Publish. The run store is the one store of per-run records:
+//     every sink (obs/report.h) reads one TakeRunsSnapshot(), and a run id
+//     names the same run in the trace, the series, the flow CSV and the
+//     alert log.
 //
 // Determinism contract: the recorder only OBSERVES. It draws no randomness
 // from the simulation, allocates outside the simulators' hot state, and is
@@ -39,8 +45,8 @@
 //
 // Runs nest per thread: a RunScope opened while another is active on the
 // same thread records nothing (fluid's inner max-min calls do not spam rate
-// records). Snapshots (TakeRunsSnapshot, the CSV writers) must be taken
-// outside any active run.
+// records). Snapshots (TakeRunsSnapshot) must be taken outside any active
+// run.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +58,7 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "obs/monitor.h"
 #include "obs/sketch.h"
 #include "obs/timeseries.h"
 
@@ -81,7 +88,8 @@ struct Config {
 
 // Turns the recorder on for subsequent runs (config is process-global, like
 // the obs span switches). Enable with an all-zero config records nothing but
-// still opens runs; Disable() stops opening runs entirely.
+// still opens runs; Disable() stops opening runs entirely (a monitored run
+// still leaves its verdicts, see RunScope::Publish).
 void Enable(const Config& config);
 void Disable();
 
@@ -225,12 +233,15 @@ class Recorder {
   std::vector<std::uint32_t> depth_series_;  // by link id
   std::uint32_t in_flight_series_ = 0;
   std::string series_prefix_;  // "run<id>/<sim>"
+
+  monitor::MonitorResult monitor_;  // set by RunScope::Publish
+  std::uint64_t faults_scheduled_ = 0;
 };
 
 // RAII handle for one simulation run. recorder() is nullptr when the flight
 // recorder is disabled or another run is already active on this thread; the
 // destructor seals the run and returns it to the process-wide store read by
-// TakeRunsSnapshot / the exporters.
+// TakeRunsSnapshot. Disabled, construction is one atomic load: no lock.
 class RunScope {
  public:
   // `lane_namer(link)` names directed-link lanes for traces and series
@@ -251,9 +262,19 @@ class RunScope {
   // this to keep per-call telemetry flushes to top-level invocations only.
   bool nested() const { return nested_; }
 
+  // Files a monitored run's verdicts (serial context: after the simulator's
+  // team has joined) and bumps the monitor/* obs counters. With a recorder
+  // they go on this run's own record. Without one they go on a verdict-only
+  // record that takes the next run id and is never sealed, so with the
+  // recorder off run ids count monitored runs and no flight/* counter moves.
+  void Publish(const monitor::MonitorResult& result,
+               std::uint64_t faults_scheduled);
+
  private:
   Recorder* recorder_ = nullptr;
   bool nested_ = false;
+  std::string sim_;  // for a verdict-only record
+  double duration_ = 0.0;
 };
 
 struct RunSnapshot {
@@ -270,25 +291,29 @@ struct RunSnapshot {
   // fct_summary config is on; empty otherwise).
   QuantileSketch fct_sketch;
   std::uint64_t unroutable = 0;
+  // The run's time series in first-touch order (obs/timeseries.h).
+  std::vector<TimeSeriesRow> series;
+  // Health-monitor verdicts; monitor.enabled is false for an unmonitored
+  // run. faults_scheduled is the size of the run's fault schedule.
+  monitor::MonitorResult monitor;
+  std::uint64_t faults_scheduled = 0;
 };
 
-// Copies every sealed run, in run-id order. Call outside any active run and
+// Copies every run, in run-id order. Call outside any active run and
 // outside parallel regions.
 std::vector<RunSnapshot> TakeRunsSnapshot();
 
 // Per-flow summary CSV: run,sim,kind,flow,bytes,finish_time,rate — kFct rows
 // fill finish_time and the derived rate, kRate rows fill rate only.
 void WriteFctCsv(std::ostream& out, const std::vector<RunSnapshot>& runs);
-void WriteFctCsvFile(const std::string& path);
 
 // Quantile table over each run's FCT sketch (--fct-summary): one row per run
 // that completed flows, with flow counts, unroutable count, and
 // p50/p90/p99/p999/max completion times — O(1) output however many flows ran.
 void WriteFctSummary(std::ostream& out, const std::vector<RunSnapshot>& runs);
-void WriteFctSummaryFile(const std::string& path);
 
 namespace detail {
-// Clears sealed runs and restarts run ids at 0; keeps the Enable()/Disable()
+// Clears every run and restarts run ids at 0; keeps the Enable()/Disable()
 // state and config. Called by obs::Reset().
 void ResetRuns();
 }  // namespace detail

@@ -1,20 +1,21 @@
 #include "obs/monitor.h"
 
 #include <algorithm>
-#include <mutex>
 #include <ostream>
 #include <utility>
 
 #include "common/error.h"
 #include "obs/export.h"
-#include "obs/obs.h"
+#include "obs/flight.h"
 
 namespace dcn::obs::monitor {
 namespace {
 
 constexpr int kQ = 16;  // fixed-point fraction bits
 
-// Q16 values surface in JSON as plain doubles (exact: 16 fractional bits).
+}  // namespace
+
+// Q16 values surface as plain doubles (exact: 16 fractional bits).
 double FromQ(std::int64_t q) {
   return static_cast<double>(q) / static_cast<double>(std::int64_t{1} << kQ);
 }
@@ -23,21 +24,9 @@ const char* KindName(AlertKind kind) {
   return kind == AlertKind::kFire ? "fire" : "clear";
 }
 
-const char* EntityPrefix(EntityKind kind) {
+const char* EntityName(EntityKind kind) {
   return kind == EntityKind::kLink ? "link" : "node";
 }
-
-struct RunStore {
-  std::mutex mutex;
-  std::vector<MonitorRunSnapshot> runs;
-};
-
-RunStore& Store() {
-  static RunStore* store = new RunStore;
-  return *store;
-}
-
-}  // namespace
 
 std::size_t MonitorResult::FireCount() const {
   return static_cast<std::size_t>(
@@ -229,39 +218,15 @@ MonitorResult HealthMonitor::TakeResult() {
   return std::move(result_);
 }
 
-void PublishRun(const std::string& sim, std::uint64_t faults_scheduled,
-                const MonitorResult& result) {
-  static obs::Counter& runs = obs::GetCounter("monitor/runs");
-  static obs::Counter& windows = obs::GetCounter("monitor/windows");
-  static obs::Counter& fired = obs::GetCounter("monitor/alerts_fired");
-  static obs::Counter& cleared = obs::GetCounter("monitor/alerts_cleared");
-  runs.Add(1);
-  windows.Add(result.windows);
-  fired.Add(result.FireCount());
-  cleared.Add(result.ClearCount());
-  RunStore& store = Store();
-  std::lock_guard<std::mutex> lock{store.mutex};
-  MonitorRunSnapshot snap;
-  snap.run = static_cast<int>(store.runs.size());
-  snap.sim = sim;
-  snap.faults_scheduled = faults_scheduled;
-  snap.result = result;
-  store.runs.push_back(std::move(snap));
-}
-
-std::vector<MonitorRunSnapshot> SnapshotRuns() {
-  RunStore& store = Store();
-  std::lock_guard<std::mutex> lock{store.mutex};
-  return store.runs;
-}
-
 void WriteAlertsJson(std::ostream& out,
-                     const std::vector<MonitorRunSnapshot>& runs) {
+                     const std::vector<flight::RunSnapshot>& runs) {
   out << "{\"runs\": [";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const MonitorRunSnapshot& run = runs[i];
-    const MonitorResult& r = run.result;
-    out << (i == 0 ? "\n" : ",\n");
+  bool first = true;
+  for (const flight::RunSnapshot& run : runs) {
+    const MonitorResult& r = run.monitor;
+    if (!r.enabled) continue;
+    out << (first ? "\n" : ",\n");
+    first = false;
     out << "{\"run\": " << run.run << ", \"sim\": \"" << JsonEscape(run.sim)
         << "\", \"window_width\": " << JsonDouble(r.window_width)
         << ", \"windows\": " << r.windows
@@ -278,7 +243,7 @@ void WriteAlertsJson(std::ostream& out,
       const Alert& alert = r.alerts[a];
       const EntityInfo& entity = r.entities[alert.entity];
       out << (a == 0 ? "\n" : ",\n") << "  {\"entity\": \""
-          << EntityPrefix(entity.kind) << ':' << entity.key
+          << EntityName(entity.kind) << ':' << entity.key
           << "\", \"entity_index\": " << alert.entity << ", \"kind\": \""
           << KindName(alert.kind) << "\", \"signal\": \""
           << JsonEscape(r.signals[alert.signal]) << "\", \"window\": "
@@ -302,25 +267,7 @@ void WriteAlertsJson(std::ostream& out,
     }
     out << "]}}";
   }
-  out << (runs.empty() ? "]" : "\n]") << "}";
+  out << (first ? "]" : "\n]") << "}";
 }
-
-void WriteAlertsJsonFile(const std::string& path) {
-  const std::vector<MonitorRunSnapshot> runs = SnapshotRuns();
-  WriteFile(path, "alerts JSON", [&](std::ostream& out) {
-    WriteAlertsJson(out, runs);
-    out << '\n';
-  });
-}
-
-namespace detail {
-
-void ResetRuns() {
-  RunStore& store = Store();
-  std::lock_guard<std::mutex> lock{store.mutex};
-  store.runs.clear();
-}
-
-}  // namespace detail
 
 }  // namespace dcn::obs::monitor

@@ -41,16 +41,21 @@
 //
 // Alerts record the breaching window, its end time, and the detector state of
 // the dominant signal (max cusum excess over threshold; ties to the lowest
-// signal index). Completed runs are published to a process-global store —
-// mirroring obs/flight.h — which obs/report.cc exports as the "alerts" stats
-// block / --alerts-json document and obs/trace.cc as Chrome-trace instant
-// events. obs::Reset() clears the store via monitor::detail::ResetRuns().
+// signal index). A simulator files a finished run's result on that run's
+// flight record (obs/flight.h, RunScope::Publish), so one run id names the
+// run in every sink: obs/report.cc exports the verdicts as the "alerts"
+// stats block / --alerts-json document and obs/trace.cc as Chrome-trace
+// instant events in the run's own trace process.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+namespace dcn::obs::flight {
+struct RunSnapshot;
+}  // namespace dcn::obs::flight
 
 namespace dcn::obs::monitor {
 
@@ -167,37 +172,18 @@ class HealthMonitor {
   MonitorResult result_;
 };
 
-// ---------------------------------------------------------------------------
-// Process-global store of completed monitored runs (flight-recorder pattern).
+// The alert document's vocabulary, shared by every sink that writes alerts:
+// a Q16.16 detector value as a double (exact), "fire" / "clear", and the
+// entity prefix of "link:<id>" / "node:<id>".
+double FromQ(std::int64_t q);
+const char* KindName(AlertKind kind);
+const char* EntityName(EntityKind kind);
 
-struct MonitorRunSnapshot {
-  int run = 0;                        // 0-based publish order
-  std::string sim;                    // "packetsim", "broadcast", ...
-  std::uint64_t faults_scheduled = 0; // size of the run's fault schedule
-  MonitorResult result;
-};
-
-// Appends a completed run (serial context only: simulators publish after the
-// team has joined). Also bumps the monitor/* obs counters.
-void PublishRun(const std::string& sim, std::uint64_t faults_scheduled,
-                const MonitorResult& result);
-
-// Non-consuming copy of every published run, in publish order. Both the
-// stats/alerts sinks and the Chrome-trace sink read the same snapshot.
-std::vector<MonitorRunSnapshot> SnapshotRuns();
-
-// Writes the alerts document — {"runs": [...]} — to `out` (no trailing
-// newline; obs/report.cc embeds the same object as the stats "alerts" block).
+// Writes the alerts document — {"runs": [...]}, one entry per monitored run
+// in run-id order, unmonitored runs skipped — to `out` with no trailing
+// newline (obs/report.cc embeds the same object as the stats "alerts"
+// block and adds the newline for --alerts-json).
 void WriteAlertsJson(std::ostream& out,
-                     const std::vector<MonitorRunSnapshot>& runs);
-
-// Standalone --alerts-json sink: the same document plus a trailing newline.
-// Throws InvalidArgument when the file cannot be written, like every sink.
-void WriteAlertsJsonFile(const std::string& path);
-
-namespace detail {
-// Clears published runs and restarts run ids at 0. Called by obs::Reset().
-void ResetRuns();
-}  // namespace detail
+                     const std::vector<flight::RunSnapshot>& runs);
 
 }  // namespace dcn::obs::monitor

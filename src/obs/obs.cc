@@ -12,7 +12,6 @@
 
 #include "common/error.h"
 #include "obs/flight.h"
-#include "obs/monitor.h"
 #include "obs/rollup.h"
 #include "obs/sketch.h"
 
@@ -470,12 +469,10 @@ void Reset() {
     detail::SummaryAccess::Reset(reg.hitters_handles);
     detail::SummaryAccess::Reset(reg.rollup_handles);
   }
-  // The flight and monitor run stores reset with the metrics so repeated
-  // experiments in one process (tests, bench loops) start from run id 0.
-  // Outside the registry lock: the stores have their own locks and never
-  // call back into this one.
+  // The run store resets with the metrics so repeated experiments in one
+  // process (tests, bench loops) start from run id 0. Outside the registry
+  // lock: the store has its own lock and never calls back into this one.
   flight::detail::ResetRuns();
-  monitor::detail::ResetRuns();
 }
 
 Snapshot TakeSnapshot() {

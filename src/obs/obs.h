@@ -217,10 +217,9 @@ void SetCurrentThreadName(std::string name);
 
 // Zeroes every metric value (summary metrics read empty again), span
 // aggregate, and buffered trace event while keeping all registrations (and
-// handles) valid. Also clears the flight recorder's runs with their time
-// series (obs/flight.h) and the health monitor's published runs
-// (obs/monitor.h), restarting both run ids at 0. Call between test cases or
-// measurement windows, outside parallel regions.
+// handles) valid. Also clears the run store (obs/flight.h: every run with its
+// time series and monitor verdicts), restarting run ids at 0. Call between
+// test cases or measurement windows, outside parallel regions.
 void Reset();
 
 // ---------------------------------------------------------------------------

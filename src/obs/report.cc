@@ -3,6 +3,7 @@
 #include <iostream>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -28,6 +29,8 @@ struct SinkConfig {
   std::string timeseries_json_path;
   std::string alerts_path;
   bool report_to_stderr = false;
+
+  bool operator==(const SinkConfig&) const = default;
 };
 
 std::mutex g_sink_mutex;
@@ -100,9 +103,8 @@ Table ReportTable(const Snapshot& snapshot) {
   return table;
 }
 
-Table ReportTable() { return ReportTable(TakeSnapshot()); }
-
-void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
+void WriteStatsJson(std::ostream& out, const Snapshot& snapshot,
+                    const std::vector<flight::RunSnapshot>& runs) {
   out << "{\n";
 
   out << "\"counters\": {";
@@ -229,14 +231,8 @@ void WriteStatsJson(std::ostream& out, const Snapshot& snapshot) {
   // document --alerts-json writes standalone. Always present, possibly with
   // an empty runs array; schema-checked by scripts/validate_stats.py.
   out << "\"alerts\": ";
-  monitor::WriteAlertsJson(out, monitor::SnapshotRuns());
+  monitor::WriteAlertsJson(out, runs);
   out << "\n}\n";
-}
-
-void WriteStatsJsonFile(const std::string& path) {
-  const Snapshot snapshot = TakeSnapshot();
-  WriteFile(path, "stats",
-            [&](std::ostream& out) { WriteStatsJson(out, snapshot); });
 }
 
 void ConfigureSinks(const CliArgs& args) {
@@ -286,30 +282,45 @@ void FlushSinks() {
     sinks = std::move(g_sinks);
     g_sinks = SinkConfig{};
   }
-  if (!sinks.trace_path.empty()) WriteChromeTraceFile(sinks.trace_path);
-  if (!sinks.stats_path.empty()) WriteStatsJsonFile(sinks.stats_path);
-  if (!sinks.fct_path.empty()) flight::WriteFctCsvFile(sinks.fct_path);
-  if (!sinks.fct_summary_path.empty()) {
-    if (sinks.fct_summary_path == "-") {
-      flight::WriteFctSummary(std::cerr, flight::TakeRunsSnapshot());
+  if (sinks == SinkConfig{}) return;
+  const Snapshot snapshot = TakeSnapshot();
+  const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+  // One sink: nothing when unset, stderr for "-" when its bare flag prints
+  // (SinkPath), else its file.
+  const auto write = [](const std::string& path, std::string_view what,
+                        bool bare_to_stderr, const auto& body) {
+    if (path.empty()) return;
+    if (bare_to_stderr && path == "-") {
+      body(std::cerr);
     } else {
-      flight::WriteFctSummaryFile(sinks.fct_summary_path);
+      WriteFile(path, what, body);
     }
+  };
+  write(sinks.trace_path, "trace", false, [&](std::ostream& out) {
+    WriteChromeTrace(out, snapshot, runs);
+  });
+  write(sinks.stats_path, "stats", false, [&](std::ostream& out) {
+    WriteStatsJson(out, snapshot, runs);
+  });
+  write(sinks.fct_path, "FCT", false,
+        [&](std::ostream& out) { flight::WriteFctCsv(out, runs); });
+  write(sinks.fct_summary_path, "FCT summary", true,
+        [&](std::ostream& out) { flight::WriteFctSummary(out, runs); });
+  std::vector<TimeSeriesRow> series;  // every run's, in run-id order
+  for (const flight::RunSnapshot& run : runs) {
+    series.insert(series.end(), run.series.begin(), run.series.end());
   }
-  if (!sinks.timeseries_csv_path.empty()) {
-    WriteTimeSeriesCsvFile(sinks.timeseries_csv_path);
-  }
-  if (!sinks.timeseries_json_path.empty()) {
-    WriteTimeSeriesJsonFile(sinks.timeseries_json_path);
-  }
-  if (sinks.alerts_path == "-") {
-    monitor::WriteAlertsJson(std::cerr, monitor::SnapshotRuns());
-    std::cerr << '\n';
-  } else if (!sinks.alerts_path.empty()) {
-    monitor::WriteAlertsJsonFile(sinks.alerts_path);
-  }
+  write(sinks.timeseries_csv_path, "time-series CSV", false,
+        [&](std::ostream& out) { WriteTimeSeriesCsv(out, series); });
+  write(sinks.timeseries_json_path, "time-series JSON", false,
+        [&](std::ostream& out) { WriteTimeSeriesJson(out, series); });
+  write(sinks.alerts_path, "alerts JSON", true, [&](std::ostream& out) {
+    monitor::WriteAlertsJson(out, runs);
+    out << '\n';
+  });
   if (sinks.report_to_stderr) {
-    ReportTable().Print(std::cerr, "obs: merged instrumentation report");
+    ReportTable(snapshot).Print(std::cerr,
+                                "obs: merged instrumentation report");
   }
 }
 

@@ -6,13 +6,13 @@
 //   --trace-out=FILE    additionally capture per-span trace events and write
 //                       Chrome trace JSON at exit (obs/trace.h) — includes
 //                       flight-recorder packet lanes when sampling is on
-//   --obs-report        print ReportTable() to stderr at exit (stderr so the
+//   --obs-report        print the ReportTable to stderr at exit (stderr so the
 //                       diff-able stdout tables stay byte-identical)
-//   --alerts-json[=FILE]  write the online health monitor's published runs
-//                       (obs/monitor.h: alert log + per-window recovery
-//                       aggregates) as JSON at exit, to FILE or to stderr
-//                       when bare; the same document is embedded in
-//                       --stats-json as the "alerts" block
+//   --alerts-json[=FILE]  write the online health monitor's verdicts on
+//                       each monitored run (obs/monitor.h: alert log +
+//                       per-window recovery aggregates) as JSON at exit, to
+//                       FILE or to stderr when bare; the same document is
+//                       embedded in --stats-json as the "alerts" block
 //
 // Flight-recorder flags (obs/flight.h); any of them enables the recorder:
 //
@@ -32,15 +32,17 @@
 //   --timeseries-json=FILE  merged time-series buckets -> JSON at exit
 //
 // ConfigureSinks parses those flags (common/cli.h); a bare flag whose sink
-// needs a FILE throws InvalidArgument naming it. FlushSinks writes whatever
-// was configured. bench/bench_util.h pairs the two automatically
-// for every experiment binary.
+// needs a FILE throws InvalidArgument naming it. FlushSinks reads the
+// registry and the run store once and writes every configured sink from that
+// one snapshot. bench/bench_util.h pairs the two automatically for every
+// experiment binary.
 #pragma once
 
 #include <iosfwd>
-#include <string>
+#include <vector>
 
 #include "common/table.h"
+#include "obs/flight.h"
 #include "obs/obs.h"
 
 namespace dcn {
@@ -55,26 +57,26 @@ namespace dcn::obs {
 // — obs/sketch.h, obs/rollup.h), which are read live from the registry
 // rather than from `snapshot`.
 Table ReportTable(const Snapshot& snapshot);
-Table ReportTable();
 
 // {"counters": {...}, "gauges": {...}, "histograms": {...}, "timers": {...},
 //  "sketches": {...}, "heavy_hitters": {...}, "rollups": {...},
 //  "alerts": {...}} — the summary blocks read the registry live and
-// "alerts" embeds the monitor's published runs (always present, possibly
-// empty; schema checked by scripts/validate_stats.py). Counter, histogram,
-// sketch, and alert contents are deterministic at any thread count; timer
-// durations are wall-clock and vary run to run.
-void WriteStatsJson(std::ostream& out, const Snapshot& snapshot);
-void WriteStatsJsonFile(const std::string& path);
+// "alerts" is the alerts document of `runs`' monitored runs (always present,
+// possibly empty; schema checked by scripts/validate_stats.py). Counter,
+// histogram, sketch, and alert contents are deterministic at any thread
+// count; timer durations are wall-clock and vary run to run.
+void WriteStatsJson(std::ostream& out, const Snapshot& snapshot,
+                    const std::vector<flight::RunSnapshot>& runs);
 
 // Reads --trace-out / --stats-json / --obs-report and enables span timing /
 // trace capture accordingly. Without any of the flags this is a no-op and
 // spans stay disabled (their cost collapses to one predictable branch).
 void ConfigureSinks(const CliArgs& args);
 
-// Writes every sink configured by ConfigureSinks (no-op when none); a file
-// that cannot be written throws InvalidArgument. Call once at process exit,
-// outside parallel regions. Idempotent: flushing clears the configuration.
+// Writes every sink configured by ConfigureSinks (no-op when none) from one
+// TakeSnapshot() and one flight::TakeRunsSnapshot(); a file that cannot be
+// written throws InvalidArgument. Call once at process exit, outside
+// parallel regions. Idempotent: flushing clears the configuration.
 void FlushSinks();
 
 }  // namespace dcn::obs

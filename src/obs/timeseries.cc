@@ -67,16 +67,4 @@ void WriteTimeSeriesJson(std::ostream& out,
   out << "\n]}\n";
 }
 
-void WriteTimeSeriesCsvFile(const std::string& path) {
-  const std::vector<TimeSeriesRow> rows = TakeTimeSeriesSnapshot();
-  WriteFile(path, "time-series CSV",
-            [&](std::ostream& out) { WriteTimeSeriesCsv(out, rows); });
-}
-
-void WriteTimeSeriesJsonFile(const std::string& path) {
-  const std::vector<TimeSeriesRow> rows = TakeTimeSeriesSnapshot();
-  WriteFile(path, "time-series JSON",
-            [&](std::ostream& out) { WriteTimeSeriesJson(out, rows); });
-}
-
 }  // namespace dcn::obs

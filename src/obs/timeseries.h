@@ -20,8 +20,8 @@
 // kMaxWindowIndex so a wild timestamp cannot exhaust memory.
 //
 // Series are per-run state of a flight Recorder: written only through it, on
-// the run's thread, named "run<id>/<sim>/...", and cleared with the runs by
-// obs::Reset().
+// the run's thread, named "run<id>/<sim>/...", read through each run's
+// flight::RunSnapshot::series, and cleared with the runs by obs::Reset().
 #pragma once
 
 #include <cstdint>
@@ -60,21 +60,14 @@ struct TimeSeriesRow {
 // Folds `value` (>= 0) into the bucket of `row` that contains `time`.
 void Record(TimeSeriesRow& row, double time, std::int64_t value);
 
-// Every flight run's series: runs in run-id order, each run's series in
-// first-touch order (defined in obs/flight.cc, next to the run store). Call
-// outside any active run.
-std::vector<TimeSeriesRow> TakeTimeSeriesSnapshot();
-
 // Long-format CSV: series,kind,bucket_width,bucket,t_start,value — one row
 // per (series, bucket), series in snapshot order. Series with no data are
 // skipped.
 void WriteTimeSeriesCsv(std::ostream& out,
                         const std::vector<TimeSeriesRow>& rows);
-void WriteTimeSeriesCsvFile(const std::string& path);
 
 // JSON: {"series": [{"name", "kind", "bucket_width", "buckets": [...]}]}.
 void WriteTimeSeriesJson(std::ostream& out,
                          const std::vector<TimeSeriesRow>& rows);
-void WriteTimeSeriesJsonFile(const std::string& path);
 
 }  // namespace dcn::obs

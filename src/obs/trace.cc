@@ -41,8 +41,18 @@ struct FlightEvent {
   std::string json;
 };
 
-void EmitFlightRun(std::ostream& out, const flight::RunSnapshot& run,
-                   const std::function<void()>& comma) {
+// Monitor alert args carry the detector's Q16.16 internals; the trace viewer
+// only needs enough precision to read them, not bit-exact round-trips.
+std::string Approx(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
+}
+
+void EmitRun(std::ostream& out, const flight::RunSnapshot& run,
+             const std::function<void()>& comma) {
+  const std::vector<monitor::Alert>& alerts = run.monitor.alerts;
+  if (run.packets.empty() && alerts.empty()) return;  // nothing to draw
   const int pid = 100 + run.run;
   comma();
   out << R"({"ph": "M", "name": "process_name", "pid": )" << pid
@@ -125,56 +135,26 @@ void EmitFlightRun(std::ostream& out, const flight::RunSnapshot& run,
     comma();
     out << event.json;
   }
-}
 
-// Monitor alert args carry the detector's Q16.16 internals; the trace viewer
-// only needs enough precision to read them, not bit-exact round-trips.
-std::string FromQ16(std::int64_t q) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", static_cast<double>(q) / 65536.0);
-  return buf;
-}
-
-void EmitMonitorRun(std::ostream& out, const monitor::MonitorRunSnapshot& run,
-                    const std::function<void()>& comma) {
-  if (run.result.alerts.empty()) return;
-  const int pid = 900 + run.run;
-  comma();
-  out << R"({"ph": "M", "name": "process_name", "pid": )" << pid
-      << R"(, "tid": 0, "ts": 0, "args": {"name": "monitor:)"
-      << JsonEscape(run.sim) << " run " << run.run << R"("}})";
-  for (const monitor::Alert& alert : run.result.alerts) {
-    const bool fire = alert.kind == monitor::AlertKind::kFire;
-    const monitor::EntityInfo& entity = run.result.entities[alert.entity];
-    const char* entity_kind =
-        entity.kind == monitor::EntityKind::kLink ? "link" : "node";
+  for (const monitor::Alert& alert : alerts) {
+    const monitor::EntityInfo& entity = run.monitor.entities[alert.entity];
     comma();
-    out << R"({"ph": "i", "name": ")" << (fire ? "alert:fire" : "alert:clear")
+    out << R"({"ph": "i", "name": "alert:)" << monitor::KindName(alert.kind)
         << R"(", "cat": "monitor", "s": "p", "pid": )" << pid << R"(, "tid": )"
         << alert.entity << R"(, "ts": )" << SimUs(alert.time)
-        << R"(, "args": {"entity": ")" << entity_kind << ':' << entity.key
-        << R"(", "signal": ")"
-        << JsonEscape(run.result.signals[alert.signal]) << R"(", "value": )"
-        << alert.value << R"(, "baseline": )" << FromQ16(alert.baseline_q)
-        << R"(, "cusum": )" << FromQ16(alert.cusum_q) << "}}";
+        << R"(, "args": {"entity": ")" << monitor::EntityName(entity.kind)
+        << ':' << entity.key << R"(", "signal": ")"
+        << JsonEscape(run.monitor.signals[alert.signal]) << R"(", "value": )"
+        << alert.value << R"(, "baseline": )"
+        << Approx(monitor::FromQ(alert.baseline_q)) << R"(, "cusum": )"
+        << Approx(monitor::FromQ(alert.cusum_q)) << "}}";
   }
 }
 
 }  // namespace
 
-void WriteChromeTrace(std::ostream& out, const Snapshot& snapshot) {
-  WriteChromeTrace(out, snapshot, {});
-}
-
 void WriteChromeTrace(std::ostream& out, const Snapshot& snapshot,
                       const std::vector<flight::RunSnapshot>& runs) {
-  WriteChromeTrace(out, snapshot, runs, {});
-}
-
-void WriteChromeTrace(
-    std::ostream& out, const Snapshot& snapshot,
-    const std::vector<flight::RunSnapshot>& runs,
-    const std::vector<monitor::MonitorRunSnapshot>& monitors) {
   out << "[\n";
   bool first = true;
   const auto comma = [&] {
@@ -194,23 +174,8 @@ void WriteChromeTrace(
         << R"(, "ts": )" << Us(event.start_ns) << R"(, "dur": )"
         << Us(event.dur_ns) << "}";
   }
-  for (const flight::RunSnapshot& run : runs) {
-    EmitFlightRun(out, run, comma);
-  }
-  for (const monitor::MonitorRunSnapshot& run : monitors) {
-    EmitMonitorRun(out, run, comma);
-  }
+  for (const flight::RunSnapshot& run : runs) EmitRun(out, run, comma);
   out << "\n]\n";
-}
-
-void WriteChromeTraceFile(const std::string& path) {
-  const Snapshot snapshot = TakeSnapshot();
-  const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
-  const std::vector<monitor::MonitorRunSnapshot> monitors =
-      monitor::SnapshotRuns();
-  WriteFile(path, "trace", [&](std::ostream& out) {
-    WriteChromeTrace(out, snapshot, runs, monitors);
-  });
 }
 
 }  // namespace dcn::obs

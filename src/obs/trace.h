@@ -9,51 +9,37 @@
 // their own lanes ("pool-worker-N"), so region/chunk spans visualize pool
 // occupancy directly. scripts/validate_trace.py asserts this schema.
 //
-// Flight-recorder runs, when present, add one process per run (pid = 100 +
-// run id, named by a `process_name` metadata event) whose thread lanes are
-// the directed links a sampled packet touched. Each sampled hop becomes a
-// `cat:"flight"` X event (ts = enqueue, dur = time on the link, args =
-// {packet, source, hop, wait, service, measured[, dropped]}); each sampled
-// packet additionally gets one flow-start (`ph:"s"`) at its first enqueue
-// and one flow-finish (`ph:"f"`, bp:"e") at delivery or drop, with a
-// matching id, so the packet's path renders as arrows across link lanes.
-// Flight timestamps are simulated time written as microseconds.
+// Flight-recorder runs (obs/flight.h) add one process per run that has
+// something to draw — a sampled packet or a monitor alert — with pid = 100 +
+// run id, named "flight:<sim> run <r>" by a `process_name` metadata event.
+// Its thread lanes are the directed links a sampled packet touched. Each
+// sampled hop becomes a `cat:"flight"` X event (ts = enqueue, dur = time on
+// the link, args = {packet, source, hop, wait, service, measured[,
+// dropped]}); each sampled packet additionally gets one flow-start
+// (`ph:"s"`) at its first enqueue and one flow-finish (`ph:"f"`, bp:"e") at
+// delivery or drop, with a matching id, so the packet's path renders as
+// arrows across link lanes. Flight timestamps are simulated time written as
+// microseconds.
 //
-// Health-monitor runs (obs/monitor.h), when present, add one process per
-// published run (pid = 900 + run id) whose `ph:"i"` instant events mark
-// alert transitions: name "alert:fire" / "alert:clear", cat "monitor",
-// scope "p" (process), ts = the alert's window-close time in simulated
-// microseconds, tid = the monitored entity's index, args = {entity, signal,
-// value, baseline, cusum}. Firing links stand out as vertical markers next
-// to the flight lanes of the same run.
+// A monitored run's alert transitions (obs/monitor.h) are `ph:"i"` instant
+// events in the same process: name "alert:fire" / "alert:clear", cat
+// "monitor", scope "p" (process), ts = the alert's window-close time in
+// simulated microseconds, tid = the monitored entity's index, args =
+// {entity, signal, value, baseline, cusum}. A link entity's index is its
+// directed-link id, so a link's alerts share the tid of its flight lane.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "obs/flight.h"
-#include "obs/monitor.h"
 #include "obs/obs.h"
 
 namespace dcn::obs {
 
-// Serializes a snapshot's trace events. Emits a valid (possibly empty) array
-// even when capture was never enabled.
-void WriteChromeTrace(std::ostream& out, const Snapshot& snapshot);
-
-// As above, plus the flight-recorder runs' sampled-packet events.
+// Serializes a snapshot's span events and the runs' flight and alert events.
+// Emits a valid (possibly empty) array even when capture was never enabled.
 void WriteChromeTrace(std::ostream& out, const Snapshot& snapshot,
                       const std::vector<flight::RunSnapshot>& runs);
-
-// As above, plus the health monitor's alert instant events.
-void WriteChromeTrace(std::ostream& out, const Snapshot& snapshot,
-                      const std::vector<flight::RunSnapshot>& runs,
-                      const std::vector<monitor::MonitorRunSnapshot>& monitors);
-
-// TakeSnapshot() + flight::TakeRunsSnapshot() + monitor::SnapshotRuns() +
-// WriteChromeTrace to `path`; throws InvalidArgument when the file cannot be
-// written. Call outside parallel regions and outside any active flight run.
-void WriteChromeTraceFile(const std::string& path);
 
 }  // namespace dcn::obs

@@ -116,7 +116,8 @@ Route EraseLoops(Route route) {
 std::vector<std::uint64_t> RouteDirectedLinks(const graph::Graph& graph,
                                               const Route& route) {
   std::vector<std::uint64_t> links;
-  RequireWalkable("RouteLinks", WalkRoute(graph, route, nullptr, links));
+  RequireWalkable("RouteDirectedLinks",
+                  WalkRoute(graph, route, nullptr, links));
   return links;
 }
 
@@ -125,7 +126,7 @@ void RouteDirectedLinksInto(const graph::CsrView& csr, const Route& route,
                             std::vector<std::uint64_t>& links) {
   used.Begin(csr.EdgeCount());
   RequireWalkable(
-      "RouteDirectedLinks",
+      "RouteDirectedLinksInto",
       WalkRoute(
           csr, route, nullptr,
           [&](graph::EdgeId edge) { return used.Mark(edge); }, links));

@@ -247,12 +247,8 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
     replicate(copy.message, copy.child, now);
   }
 
-  double busiest = 0.0;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    busiest = std::max(busiest, static_cast<double>(links.Transmitted(link)) *
-                                    kServiceTime / config.duration);
-  }
-  result.max_link_utilization = busiest;
+  result.max_link_utilization =
+      FoldLinkUtilization(links, kServiceTime, config.duration).max;
 
   // Exact counts determined by (graph, tree, config): the merged obs readout
   // is as reproducible as the simulation.
@@ -291,8 +287,7 @@ BroadcastSimResult RunBroadcastSim(const graph::Graph& graph,
   r_links.Merge(link_rollup);
   if (mon.on()) {
     result.monitor = mon.Finish();
-    obs::monitor::PublishRun("broadcast", config.faults.events.size(),
-                             result.monitor);
+    flight_run.Publish(result.monitor, config.faults.events.size());
   }
   return result;
 }

@@ -1,8 +1,9 @@
 // Directed-link state shared by the packet-level simulators (packetsim.cc,
-// broadcast_sim.cc): FIFO queues, lane names and the post-run transmit fold.
+// broadcast_sim.cc): FIFO queues, lane names and the post-run transmit folds.
 // Directed link 2e + d runs edge e first -> second endpoint (d = 0) or back.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -68,6 +69,35 @@ inline std::function<std::string(std::uint64_t)> LaneNamer(
     return link % 2 == 0 ? std::to_string(u) + "->" + std::to_string(v)
                          : std::to_string(v) + "->" + std::to_string(u);
   };
+}
+
+// Post-run link utilization: a link's transmissions times the service time
+// over the run's duration. Links fold in id order, so every engine gets the
+// same doubles bit for bit.
+struct LinkUtilization {
+  double max = 0.0;   // busiest directed link
+  double mean = 0.0;  // over links that transmitted at all
+  std::uint64_t transmitted = 0;  // every link's transmissions
+};
+
+inline LinkUtilization FoldLinkUtilization(const RingLinkStore& links,
+                                           double service_time,
+                                           double duration) {
+  LinkUtilization fold;
+  double total = 0.0;
+  std::size_t busy_links = 0;
+  for (std::size_t link = 0; link < links.LinkCount(); ++link) {
+    const std::uint64_t transmitted = links.Transmitted(link);
+    fold.transmitted += transmitted;
+    if (transmitted == 0) continue;
+    const double utilization =
+        static_cast<double>(transmitted) * service_time / duration;
+    fold.max = std::max(fold.max, utilization);
+    total += utilization;
+    ++busy_links;
+  }
+  fold.mean = busy_links == 0 ? 0.0 : total / static_cast<double>(busy_links);
+  return fold;
 }
 
 // Post-run hot links, hot transmitting switches and the link -> node -> tier

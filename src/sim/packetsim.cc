@@ -273,17 +273,6 @@ struct EventAfter {
   }
 };
 
-class BinaryEventQueue {
- public:
-  bool Empty() const { return queue_.empty(); }
-  const Event& Top() const { return queue_.top(); }
-  void Push(const Event& event) { queue_.push(event); }
-  void Pop() { queue_.pop(); }
-
- private:
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
-};
-
 PacketSimResult RunPacketSimSerialImpl(
     const graph::Graph& graph,
     const std::vector<std::vector<routing::Route>>& candidates,
@@ -294,7 +283,7 @@ PacketSimResult RunPacketSimSerialImpl(
   const std::size_t link_count = graph.EdgeCount() * 2;
   RingLinkStore links(link_count, config.queue_capacity);
   std::vector<Packet> pool;
-  BinaryEventQueue events;
+  std::priority_queue<Event, std::vector<Event>, EventAfter> events;
   Rng rng{config.seed};
   PacketSimResult result;
 
@@ -330,7 +319,7 @@ PacketSimResult RunPacketSimSerialImpl(
   auto schedule = [&](double time, EventKind kind, std::uint64_t payload) {
     const std::uint64_t key =
         kind == EventKind::kDepart ? payload : link_count + payload;
-    events.Push(Event{time, kind, payload, key});
+    events.push(Event{time, kind, payload, key});
   };
 
   ObsLocals obs;
@@ -369,9 +358,9 @@ PacketSimResult RunPacketSimSerialImpl(
   }
 
   OBS_SPAN("packetsim/run");
-  while (!events.Empty()) {
-    const Event event = events.Top();
-    events.Pop();
+  while (!events.empty()) {
+    const Event event = events.top();
+    events.pop();
     ++obs.events;
     const double now = event.time;
     while (fault_cursor < fault_ops.size() &&
@@ -446,20 +435,10 @@ PacketSimResult RunPacketSimSerialImpl(
     }
   }
 
-  double busiest = 0.0, total = 0.0;
-  std::size_t busy_links = 0;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t transmitted = links.Transmitted(link);
-    if (transmitted == 0) continue;
-    const double utilization =
-        static_cast<double>(transmitted) * kServiceTime / config.duration;
-    busiest = std::max(busiest, utilization);
-    total += utilization;
-    ++busy_links;
-  }
-  result.max_link_utilization = busiest;
-  result.mean_link_utilization =
-      busy_links == 0 ? 0.0 : total / static_cast<double>(busy_links);
+  const LinkUtilization utilization =
+      FoldLinkUtilization(links, kServiceTime, config.duration);
+  result.max_link_utilization = utilization.max;
+  result.mean_link_utilization = utilization.mean;
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
@@ -467,8 +446,7 @@ PacketSimResult RunPacketSimSerialImpl(
   FlushObs(result, obs);
   if (mon.on()) {
     result.monitor = mon.Finish();
-    obs::monitor::PublishRun("packetsim", config.faults.events.size(),
-                             result.monitor);
+    flight_run.Publish(result.monitor, config.faults.events.size());
   }
   return result;
 }
@@ -1026,22 +1004,10 @@ PacketSimResult RunPacketSimMultipathSharded(
     result.max_queue_depth = std::max(result.max_queue_depth, m.max_depth);
   }
 
-  double busiest = 0.0, total = 0.0;
-  std::size_t busy_links = 0;
-  std::uint64_t transmitted_total = 0;
-  for (std::size_t link = 0; link < link_count; ++link) {
-    const std::uint64_t transmitted = store.Transmitted(link);
-    transmitted_total += transmitted;
-    if (transmitted == 0) continue;
-    const double utilization =
-        static_cast<double>(transmitted) * kServiceTime / config.duration;
-    busiest = std::max(busiest, utilization);
-    total += utilization;
-    ++busy_links;
-  }
-  result.max_link_utilization = busiest;
-  result.mean_link_utilization =
-      busy_links == 0 ? 0.0 : total / static_cast<double>(busy_links);
+  const LinkUtilization utilization =
+      FoldLinkUtilization(store, kServiceTime, config.duration);
+  result.max_link_utilization = utilization.max;
+  result.mean_link_utilization = utilization.mean;
 
   DCN_ASSERT(result.delivered + result.dropped <= result.measured);
   if (fr_bd) result.breakdown = fr->Breakdown();
@@ -1050,7 +1016,7 @@ PacketSimResult RunPacketSimMultipathSharded(
   ObsLocals obs;
   // Exact pop-count parity with the serial loop: one event per generate pop
   // (retirements included) plus one per depart.
-  obs.events = schedule.generate_events + transmitted_total;
+  obs.events = schedule.generate_events + utilization.transmitted;
   obs.queue_depth.assign(static_cast<std::size_t>(config.queue_capacity) + 1, 0);
   obs.hops.assign(plan.longest_route + 1, 0);
   for (const Member& m : members) {
@@ -1084,8 +1050,7 @@ PacketSimResult RunPacketSimMultipathSharded(
     // The last window's replay saw next == kNever and stepped every
     // remaining window, so Finish() only moves the result out.
     result.monitor = mon.Finish();
-    obs::monitor::PublishRun("packetsim", config.faults.events.size(),
-                             result.monitor);
+    flight_run.Publish(result.monitor, config.faults.events.size());
   }
   return result;
 }

@@ -52,8 +52,8 @@ struct PacketSimConfig {
   FaultSchedule faults;
   // Online health monitor (obs/monitor.h). When enabled, per-directed-link
   // "tx"/"drops" windows feed integer EWMA/CUSUM detectors during the run;
-  // the alert log lands in PacketSimResult::monitor and is published to the
-  // process-global store for --alerts-json / trace export. Purely
+  // the alert log lands in PacketSimResult::monitor and on the run's record
+  // in the run store (obs/flight.h) for --alerts-json / trace export. Purely
   // observational: the packet event order and every pre-existing result
   // field are byte-identical with the monitor on or off.
   obs::monitor::MonitorConfig monitor;

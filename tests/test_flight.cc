@@ -119,19 +119,16 @@ TEST_F(FlightTest, SampledRecordsAreIdenticalAtAnyThreadCount) {
   config.bucket_width = 50.0;
 
   std::vector<RunSnapshot> at_1;
-  std::vector<TimeSeriesRow> series_at_1;
   for (const int threads : {1, 3, 7}) {
     SetThreadCount(threads);
     Reset();  // restarts run ids, so run 0 is comparable across loops
     Enable(config);
     RunContended(g);
     const std::vector<RunSnapshot> runs = TakeRunsSnapshot();
-    const std::vector<TimeSeriesRow> series = TakeTimeSeriesSnapshot();
     ASSERT_EQ(runs.size(), 1u) << "threads=" << threads;
     EXPECT_GT(runs[0].packets.size(), 10u) << "threads=" << threads;
     if (threads == 1) {
       at_1 = runs;
-      series_at_1 = series;
       continue;
     }
     ASSERT_EQ(runs[0].packets.size(), at_1[0].packets.size())
@@ -153,6 +150,8 @@ TEST_F(FlightTest, SampledRecordsAreIdenticalAtAnyThreadCount) {
         EXPECT_DOUBLE_EQ(a.hops[h].depart, b.hops[h].depart);
       }
     }
+    const std::vector<TimeSeriesRow>& series = runs[0].series;
+    const std::vector<TimeSeriesRow>& series_at_1 = at_1[0].series;
     ASSERT_EQ(series.size(), series_at_1.size()) << "threads=" << threads;
     for (std::size_t s = 0; s < series.size(); ++s) {
       EXPECT_EQ(series[s].name, series_at_1[s].name);
@@ -364,7 +363,7 @@ TEST_F(FlightTest, ResetRestartsRunIds) {
   Enable(config);
   {
     // Run 0 opens first but touches its series last, after run 1 ran on
-    // another thread: series still come out in run-id order.
+    // another thread: each run keeps its own series.
     RunScope a{"a", 20.0};
     ASSERT_NE(a.recorder(), nullptr);
     std::thread other{[] {
@@ -378,15 +377,14 @@ TEST_F(FlightTest, ResetRestartsRunIds) {
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].run, 0);
   EXPECT_EQ(runs[1].run, 1);
-  const std::vector<TimeSeriesRow> series = TakeTimeSeriesSnapshot();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0].name, "run0/a/in_flight");
-  EXPECT_EQ(series[0].buckets, (std::vector<std::int64_t>{0, 3}));
-  EXPECT_EQ(series[1].name, "run1/b/in_flight");
-  EXPECT_EQ(series[1].buckets, (std::vector<std::int64_t>{2}));
+  ASSERT_EQ(runs[0].series.size(), 1u);
+  EXPECT_EQ(runs[0].series[0].name, "run0/a/in_flight");
+  EXPECT_EQ(runs[0].series[0].buckets, (std::vector<std::int64_t>{0, 3}));
+  ASSERT_EQ(runs[1].series.size(), 1u);
+  EXPECT_EQ(runs[1].series[0].name, "run1/b/in_flight");
+  EXPECT_EQ(runs[1].series[0].buckets, (std::vector<std::int64_t>{2}));
   Reset();
   EXPECT_TRUE(TakeRunsSnapshot().empty());
-  EXPECT_TRUE(TakeTimeSeriesSnapshot().empty());
   { RunScope run{"c", 1.0}; }
   runs = TakeRunsSnapshot();
   ASSERT_EQ(runs.size(), 1u);

@@ -10,7 +10,10 @@
 //    detected and zero false alarms on the fault-free control;
 //  * broadcast and fluid fault semantics, MatchDetections pairing, and the
 //    alerts JSON / stats block / Chrome-trace instant-event exports;
-//  * the --alerts-json file sink fails loudly, like every other sink.
+//  * one run id: a monitored run's verdicts sit on its flight record (or a
+//    verdict-only record when the recorder is off), and its alert instants
+//    in its own trace process;
+//  * every file sink flag, --alerts-json included, fails loudly.
 #include "obs/monitor.h"
 
 #include <gtest/gtest.h>
@@ -20,14 +23,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "graph/graph.h"
+#include "obs/flight.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -53,6 +59,7 @@ class MonitorTest : public ::testing::Test {
  protected:
   void SetUp() override { obs::Reset(); }
   void TearDown() override {
+    flight::Disable();
     obs::Reset();
     SetThreadCount(0);
     unsetenv("DCN_THREADS");
@@ -480,40 +487,50 @@ TEST_F(MonitorTest, MatchDetectionsPairsFaultsWithAffectedEntities) {
   EXPECT_FALSE(outcomes[2].detected);
 }
 
-TEST_F(MonitorTest, AlertsSurfaceInJsonStatsAndChromeTrace) {
-  const topo::Abccc net{topo::AbcccParams{4, 1, 2}};
-  const std::vector<Route> routes = PermutationRoutes(net, 0x2404);
-  // Kill the busiest server NIC edge mid-run to guarantee at least one fire.
-  const Graph& g = net.Network();
-  std::vector<std::uint32_t> link_flows(2 * g.EdgeCount(), 0);
-  for (const Route& route : routes) {
-    for (const std::uint64_t link : routing::RouteDirectedLinks(g, route)) {
-      ++link_flows[link];
-    }
-  }
-  graph::EdgeId busiest = 0;
-  for (graph::EdgeId e = 1;
-       e < static_cast<graph::EdgeId>(g.EdgeCount()); ++e) {
-    if (std::max(link_flows[2 * e], link_flows[2 * e + 1]) >
-        std::max(link_flows[2 * busiest], link_flows[2 * busiest + 1])) {
-      busiest = e;
-    }
-  }
+// ABCCC(4,1,2) under a permutation with its busiest link killed mid-run, so
+// the monitored run fires at least one alert.
+struct FaultedFabric {
+  topo::Abccc net{topo::AbcccParams{4, 1, 2}};
+  std::vector<Route> routes = PermutationRoutes(net, 0x2404);
   sim::PacketSimConfig config;
-  config.offered_load = 0.6;
-  config.duration = 300;
-  config.warmup = 50;
-  config.monitor.enabled = true;
-  config.monitor.window_width = 20.0;
-  config.faults.KillLink(160.0, busiest);
+
+  FaultedFabric() {
+    const Graph& g = net.Network();
+    std::vector<std::uint32_t> link_flows(2 * g.EdgeCount(), 0);
+    for (const Route& route : routes) {
+      for (const std::uint64_t link : routing::RouteDirectedLinks(g, route)) {
+        ++link_flows[link];
+      }
+    }
+    graph::EdgeId busiest = 0;
+    for (graph::EdgeId e = 1;
+         e < static_cast<graph::EdgeId>(g.EdgeCount()); ++e) {
+      if (std::max(link_flows[2 * e], link_flows[2 * e + 1]) >
+          std::max(link_flows[2 * busiest], link_flows[2 * busiest + 1])) {
+        busiest = e;
+      }
+    }
+    config.offered_load = 0.6;
+    config.duration = 300;
+    config.warmup = 50;
+    config.monitor.enabled = true;
+    config.monitor.window_width = 20.0;
+    config.faults.KillLink(160.0, busiest);
+  }
+  sim::PacketSimResult Run(const sim::PacketSimConfig& run_config) const {
+    return sim::RunPacketSim(net.Network(), routes, run_config);
+  }
+};
+
+TEST_F(MonitorTest, AlertsSurfaceInJsonStatsAndChromeTrace) {
+  const FaultedFabric fabric;
   SetThreadCount(1);
-  const sim::PacketSimResult result =
-      sim::RunPacketSim(g, routes, config);
+  const sim::PacketSimResult result = fabric.Run(fabric.config);
   ASSERT_GT(result.monitor.FireCount(), 0u);
   EXPECT_GT(obs::CounterValue("monitor/alerts_fired"), 0u);
   EXPECT_EQ(obs::CounterValue("monitor/runs"), 1u);
 
-  const std::vector<MonitorRunSnapshot> runs = SnapshotRuns();
+  const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].sim, "packetsim");
   EXPECT_EQ(runs[0].faults_scheduled, 1u);
@@ -527,45 +544,143 @@ TEST_F(MonitorTest, AlertsSurfaceInJsonStatsAndChromeTrace) {
   EXPECT_NE(doc.find("\"recovery\": {"), std::string::npos);
 
   std::ostringstream stats;
-  obs::WriteStatsJson(stats, obs::TakeSnapshot());
+  obs::WriteStatsJson(stats, obs::TakeSnapshot(), runs);
   EXPECT_NE(stats.str().find("\"alerts\": {\"runs\": ["), std::string::npos);
 
   std::ostringstream trace;
-  obs::WriteChromeTrace(trace, obs::TakeSnapshot(), {}, runs);
+  obs::WriteChromeTrace(trace, obs::TakeSnapshot(), runs);
   EXPECT_NE(trace.str().find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(trace.str().find("alert:fire"), std::string::npos);
   EXPECT_NE(trace.str().find("\"cat\": \"monitor\""), std::string::npos);
 
   // obs::Reset clears the run store.
   obs::Reset();
-  EXPECT_TRUE(SnapshotRuns().empty());
+  EXPECT_TRUE(flight::TakeRunsSnapshot().empty());
 }
 
-TEST_F(MonitorTest, AlertsJsonFileWritesTheDocumentOrThrows) {
+TEST_F(MonitorTest, RecorderOffLeavesOneVerdictOnlyRecord) {
+  const FaultedFabric fabric;
+  SetThreadCount(1);
+  const sim::PacketSimResult result = fabric.Run(fabric.config);
+  const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+  ASSERT_EQ(runs.size(), 1u);
+  const flight::RunSnapshot& run = runs[0];
+  EXPECT_EQ(run.run, 0);
+  EXPECT_EQ(run.sim, "packetsim");
+  EXPECT_TRUE(run.packets.empty());
+  EXPECT_TRUE(run.flows.empty());
+  EXPECT_TRUE(run.series.empty());
+  EXPECT_TRUE(run.lanes.empty());
+  EXPECT_TRUE(run.monitor.enabled);
+  EXPECT_EQ(run.monitor.alerts.size(), result.monitor.alerts.size());
+  EXPECT_EQ(run.faults_scheduled, 1u);
+  EXPECT_EQ(obs::CounterValue("flight/runs"), 0u);
+  EXPECT_EQ(obs::CounterValue("monitor/runs"), 1u);
+}
+
+// With the recorder on, a monitored run's alerts carry its flight run id in
+// every sink: the alerts document names it, and the trace puts its alert
+// instants in that run's process, beside its flight lanes.
+TEST_F(MonitorTest, AlertsShareTheirFlightRunId) {
+  const FaultedFabric fabric;
+  flight::Config flight_config;
+  flight_config.sample_rate = 0.2;
+  flight::Enable(flight_config);
+  SetThreadCount(1);
+  sim::PacketSimConfig plain = fabric.config;
+  plain.monitor.enabled = false;
+  plain.faults = sim::FaultSchedule{};
+  fabric.Run(plain);                                            // run 0
+  const sim::PacketSimResult faulted = fabric.Run(fabric.config);  // run 1
+  flight::Disable();
+  ASSERT_GT(faulted.monitor.FireCount(), 0u);
+  for (const Alert& alert : faulted.monitor.alerts) {
+    const EntityInfo& entity = faulted.monitor.entities[alert.entity];
+    // A link entity's index is its directed-link id: its flight lane's tid.
+    if (entity.kind == EntityKind::kLink) {
+      EXPECT_EQ(entity.key, static_cast<std::int64_t>(alert.entity));
+    }
+  }
+  const std::vector<flight::RunSnapshot> runs = flight::TakeRunsSnapshot();
+  ASSERT_EQ(runs.size(), 2u);
+  ASSERT_FALSE(runs[1].lanes.empty());
+
+  std::ostringstream alerts;
+  WriteAlertsJson(alerts, runs);
+  const std::string doc = alerts.str();
+  const std::size_t listed = doc.find("{\"run\": ");  // the one run listed
+  EXPECT_NE(listed, std::string::npos);
+  EXPECT_EQ(listed, doc.find("{\"run\": 1, "));
+  EXPECT_EQ(doc.find("{\"run\": ", listed + 1), std::string::npos);
+
+  std::ostringstream trace;
+  obs::WriteChromeTrace(trace, obs::Snapshot{}, runs);
+  std::istringstream lines{trace.str()};
+  const std::regex pid_field{"\"pid\": ([0-9]+)"};
+  std::size_t instants = 0;
+  std::size_t run1_flight = 0;
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch pid;
+    if (!std::regex_search(line, pid, pid_field)) continue;
+    EXPECT_LT(std::stoi(pid[1]), 900) << line;
+    if (line.find("\"cat\": \"monitor\"") != std::string::npos) {
+      ++instants;
+      EXPECT_EQ(pid[1], "101") << line;
+    }
+    if (pid[1] == "101" && line.find("\"cat\": \"flight\"") != std::string::npos) {
+      ++run1_flight;
+    }
+  }
+  EXPECT_EQ(instants, faulted.monitor.alerts.size());
+  EXPECT_GT(run1_flight, 0u);
+  EXPECT_NE(trace.str().find("\"args\": {\"name\": \"flight:packetsim run 1\"}"),
+            std::string::npos);
+}
+
+// Every file sink flag writes through FlushSinks' one snapshot, and an
+// unwritable path throws, --alerts-json included.
+TEST_F(MonitorTest, SinkFlagsWriteTheDocumentOrThrow) {
   MonitorConfig config;
   config.enabled = true;
   HealthMonitor monitor{config};
   monitor.AddEntity(EntityKind::kLink, 0);
   monitor.AddSignal("tx", SignalDirection::kDrop);
   monitor.Seal(2);
-  PublishRun("packetsim", 0, monitor.TakeResult());
+  {
+    flight::RunScope run{"packetsim", 50.0};
+    run.Publish(monitor.TakeResult(), 0);
+  }
+  const auto flush = [](const std::string& flag) {
+    const std::vector<std::string> argv{"test_monitor", flag};
+    const std::vector<const char*> raw{argv[0].c_str(), argv[1].c_str()};
+    obs::ConfigureSinks(CliArgs{2, raw.data()});
+    obs::FlushSinks();
+  };
 
   const std::filesystem::path dir = ::testing::TempDir();
   const std::string path = (dir / "dcn_monitor_alerts.json").string();
-  WriteAlertsJsonFile(path);
+  flush("--alerts-json=" + path);
   std::ostringstream expected;
-  WriteAlertsJson(expected, SnapshotRuns());
+  WriteAlertsJson(expected, flight::TakeRunsSnapshot());
   std::ifstream in{path};
   std::ostringstream written;
   written << in.rdbuf();
   EXPECT_EQ(written.str(), expected.str() + "\n");
   std::filesystem::remove(path);
 
-  // A path under a missing directory is an error, as for --stats-json.
+  // A path under a missing directory is an error for every file sink.
   const std::filesystem::path missing = dir / "dcn_no_such_dir";
   ASSERT_FALSE(std::filesystem::exists(missing));
-  EXPECT_THROW(WriteAlertsJsonFile((missing / "alerts.json").string()),
-               InvalidArgument);
+  for (const char* flag : {"trace-out", "stats-json", "fct-csv", "fct-summary",
+                           "timeseries-csv", "timeseries-json",
+                           "alerts-json"}) {
+    SCOPED_TRACE(flag);
+    EXPECT_THROW(
+        flush(std::string{"--"} + flag + "=" + (missing / "out").string()),
+        InvalidArgument);
+  }
+  obs::EnableSpans(false);
+  flight::Disable();
 }
 
 }  // namespace

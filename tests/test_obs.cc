@@ -289,7 +289,7 @@ TEST_F(ObsTest, TraceCaptureEmitsPerLaneMonotoneEvents) {
   }
 
   std::ostringstream json;
-  WriteChromeTrace(json, snap);
+  WriteChromeTrace(json, snap, {});
   const std::string text = json.str();
   EXPECT_EQ(text.front(), '[');
   EXPECT_NE(text.find("\"ph\": \"M\""), std::string::npos);
@@ -386,7 +386,7 @@ TEST_F(ObsTest, StatsJsonAndReportTableRenderEveryKind) {
   const Snapshot snap = TakeSnapshot();
 
   std::ostringstream json;
-  WriteStatsJson(json, snap);
+  WriteStatsJson(json, snap, {});
   const std::string text = json.str();
   EXPECT_NE(text.find("\"test/json_counter\": 5"), std::string::npos);
   EXPECT_NE(text.find("\"test/json_gauge\": 9"), std::string::npos);

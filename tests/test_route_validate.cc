@@ -201,10 +201,10 @@ TEST(RouteLinkRuleTest, EveryResolverAcceptsAndRejectsTheSameRoutes) {
                         [&] { RouteLinks(g, route); }),
               problem);
     std::vector<std::uint64_t> directed;
-    EXPECT_EQ(Rejection("RouteLinks on invalid route: ",
+    EXPECT_EQ(Rejection("RouteDirectedLinks on invalid route: ",
                         [&] { directed = RouteDirectedLinks(g, route); }),
               problem);
-    EXPECT_EQ(Rejection("RouteDirectedLinks on invalid route: ",
+    EXPECT_EQ(Rejection("RouteDirectedLinksInto on invalid route: ",
                         [&] { RouteDirectedLinksInto(g.Csr(), route, used, into); }),
               problem);
     if (problem.empty()) {
